@@ -217,9 +217,6 @@ def _train_config(resolved: dict, seed: int) -> TrainConfig:
         max_epochs=resolved["max_epochs"],
         patience=resolved["patience"],
         seed=seed,
-        c1=resolved["c1"],
-        c2=resolved["c2"],
-        intensity=resolved["intensity"],
     )
 
 

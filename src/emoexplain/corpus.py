@@ -297,11 +297,6 @@ def encode_example(record: Record, vocab: Vocabulary, max_len: int = DEFAULT_MAX
     )
 
 
-def decode_tokens(example: EncodedExample, vocab: Vocabulary) -> list[str]:
-    """Token strings for the token positions (everything after user and item)."""
-    return [vocab.id_to_token[i] for i in example.context_ids[2:]]
-
-
 # ---------------------------------------------------------------------------
 # Synthetic corpora
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CorpusSpec
-from .lexicon import Lexicon, SOURCE_CATEGORY_MAP
+from .lexicon import Lexicon, lexicon_from_triples
 
 POOLS: dict[str, tuple[str, ...]] = {
     "happy": (
@@ -60,14 +60,7 @@ FIXTURE_TRIPLES: tuple[tuple[str, str, float], ...] = tuple(
 
 def fixture_lexicon() -> Lexicon:
     """The fixture triples assembled in memory (max aggregation, unmapped dropped)."""
-    raw: dict[str, list[float]] = {}
-    for word, category, score in FIXTURE_TRIPLES:
-        idx = SOURCE_CATEGORY_MAP.get(category)
-        if idx is None:
-            continue
-        vec = raw.setdefault(word.lower(), [0.0] * 6)
-        vec[idx] = max(vec[idx], score)
-    return Lexicon({w: tuple(v) for w, v in raw.items() if any(c > 0 for c in v)})
+    return lexicon_from_triples(FIXTURE_TRIPLES)
 
 
 def write_fixture_lexicon(path: str | Path) -> None:

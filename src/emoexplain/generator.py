@@ -9,15 +9,7 @@ import numpy as np
 from . import numerics as nm
 from .corpus import BOS, EOS, PAD, EncodedExample, Vocabulary, tokenize
 from .lexicon import Lexicon, category_index
-from .model import (
-    ModelConfig,
-    ModelParams,
-    decode,
-    emotion_input_matrix,
-    encode_context,
-    encode_emotion_from_matrix,
-    fuse,
-)
+from .model import ModelConfig, ModelParams, emotion_input_matrix, forward
 
 
 @dataclass(frozen=True)
@@ -78,12 +70,8 @@ def generate(
                 text_len=len(generated),
             )
             vnrc = emotion_input_matrix(example, vocab, lex, config.mask_emotion_tag)
-            hidden_emo = encode_emotion_from_matrix(vnrc, params, config)
-            hidden_context = encode_context(example, params, config)
-            final = decode(fuse(hidden_emo, hidden_context, config.intensity), params, config)
             last = prefix_len + len(generated)
-            logits = nm.slice_rows(final, last, last + 1).data @ params.token_embedding.data.T
-            scores = logits[0].copy()
+            scores = forward(example, params, config, vnrc).lm_logits.data[last]
             scores[PAD] = -np.inf
             scores[BOS] = -np.inf
             next_id = int(np.argmax(scores))

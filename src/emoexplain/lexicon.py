@@ -11,6 +11,7 @@ table yields the neutral fallback vector (0, 0, 0, 0, 0, 1).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,10 +38,6 @@ def category_index(name: str) -> int:
         raise ValueError(f"unknown emotion category {name!r}; expected one of {CATEGORIES}") from None
 
 
-def category_name(index: int) -> str:
-    return CATEGORIES[index]
-
-
 @dataclass(frozen=True)
 class Lexicon:
     """Immutable word -> 6-component intensity table (happy, angry, surprise, sad, fear, neutral)."""
@@ -54,14 +51,26 @@ class Lexicon:
         return word.lower() in self.table
 
 
-def load_lexicon(path: str | Path) -> Lexicon:
-    """Parse a tab-separated word/category/score file into a Lexicon.
+def lexicon_from_triples(triples: Iterable[tuple[str, str, float]]) -> Lexicon:
+    """Assemble (word, source category, score) triples into a Lexicon.
 
     Duplicate (word, category) entries aggregate by max.  Words whose mapped
     components are all zero (only unmapped source categories) are not stored,
     so lookups for them fall back to neutral.
     """
     raw: dict[str, list[float]] = {}
+    for word, category, score in triples:
+        idx = SOURCE_CATEGORY_MAP.get(category.strip().lower())
+        if idx is None:
+            continue
+        vec = raw.setdefault(word.strip().lower(), [0.0] * 6)
+        vec[idx] = max(vec[idx], score)
+    return Lexicon({w: tuple(v) for w, v in raw.items() if any(c > 0.0 for c in v)})
+
+
+def load_lexicon(path: str | Path) -> Lexicon:
+    """Parse a tab-separated word/category/score file into a Lexicon (see lexicon_from_triples)."""
+    triples = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -77,13 +86,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
                 raise ValueError(f"{path}: line {lineno}: score {score_text!r} is not a number") from None
             if not 0.0 <= score <= 1.0:
                 raise ValueError(f"{path}: line {lineno}: score {score} outside [0, 1]")
-            idx = SOURCE_CATEGORY_MAP.get(category.strip().lower())
-            if idx is None:
-                continue
-            vec = raw.setdefault(word.strip().lower(), [0.0] * 6)
-            vec[idx] = max(vec[idx], score)
-    table = {w: tuple(v) for w, v in raw.items() if any(c > 0.0 for c in v)}
-    return Lexicon(table=table)
+            triples.append((word, category, score))
+    return lexicon_from_triples(triples)
 
 
 def word_emotion(lexicon: Lexicon, word: str) -> tuple[float, ...]:

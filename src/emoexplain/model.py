@@ -170,12 +170,8 @@ class ModelParams:
 
 @dataclass
 class ForwardState:
-    """Final-layer states and head logits for one example."""
+    """Head logits for one example: LM logits at every position, emotion logits at the tag."""
 
-    hidden_emo: Tensor
-    hidden_context: Tensor
-    hidden_merge: Tensor
-    decoded: Tensor
     lm_logits: Tensor
     emotion_logits: Tensor
 
@@ -227,14 +223,6 @@ def emotion_input_matrix(
     return np.array(rows, dtype=np.float64)
 
 
-def encode_emotion(
-    example: EncodedExample, params: ModelParams, config: ModelConfig,
-    vocab: Vocabulary, lex: Lexicon,
-) -> Tensor:
-    vnrc = emotion_input_matrix(example, vocab, lex, config.mask_emotion_tag)
-    return encode_emotion_from_matrix(vnrc, params, config)
-
-
 def encode_emotion_from_matrix(vnrc: np.ndarray, params: ModelParams, config: ModelConfig) -> Tensor:
     if vnrc.shape != (config.max_len, N_EMOTIONS):
         raise ValueError(f"emotion input shape {vnrc.shape}, expected ({config.max_len}, {N_EMOTIONS})")
@@ -265,55 +253,42 @@ def decode(hidden_merge: Tensor, params: ModelParams, config: ModelConfig) -> Te
     return _encoder_stack(hidden_merge, params.decoder, config.attention_heads)
 
 
-def emotion_head(final_states: Tensor, example: EncodedExample, params: ModelParams):
-    """(logits over the six categories, cross-entropy against the record tag)."""
-    row = nm.slice_rows(final_states, example.tag_position, example.tag_position + 1)
-    logits = nm.matmul(row, params.emotion_head_weight)
-    loss = nm.cross_entropy(logits, [example.emotion_target])
-    return logits, loss
+def forward(
+    example: EncodedExample, params: ModelParams, config: ModelConfig, vnrc: np.ndarray
+) -> ForwardState:
+    """The one path from inputs to head logits, shared by training, generation and gradcheck."""
+    hidden_emo = encode_emotion_from_matrix(vnrc, params, config)
+    hidden_context = encode_context(example, params, config)
+    decoded = decode(fuse(hidden_emo, hidden_context, config.intensity), params, config)
+    tag_row = nm.slice_rows(decoded, example.tag_position, example.tag_position + 1)
+    return ForwardState(
+        lm_logits=nm.matmul(decoded, params.token_embedding, transpose_b=True),
+        emotion_logits=nm.matmul(tag_row, params.emotion_head_weight),
+    )
 
 
-def lm_head(final_states: Tensor, example: EncodedExample, params: ModelParams):
-    """(next-token logits over supervised positions, mean cross-entropy).
+def emotion_head(state: ForwardState, example: EncodedExample) -> Tensor:
+    """Cross-entropy of the tag-position logits against the record's emotion."""
+    return nm.cross_entropy(state.emotion_logits, [example.emotion_target])
+
+
+def lm_head(state: ForwardState, example: EncodedExample) -> Tensor:
+    """Mean next-token cross-entropy over the supervised positions.
 
     Supervision runs from the <bos> position through the last explanation
     token, i.e. targets e_1 .. e_E and then <eos>; pad positions never count.
     """
-    states = nm.slice_rows(final_states, example.bos_position, example.eos_position)
-    logits = nm.matmul(states, params.token_embedding, transpose_b=True)
+    logits = nm.slice_rows(state.lm_logits, example.bos_position, example.eos_position)
     targets = list(example.context_ids[example.bos_position + 1: example.eos_position + 1])
-    loss = nm.cross_entropy(logits, targets)
-    return logits, loss
-
-
-def forward(
-    example: EncodedExample, params: ModelParams, config: ModelConfig, vnrc: np.ndarray
-) -> ForwardState:
-    hidden_emo = encode_emotion_from_matrix(vnrc, params, config)
-    hidden_context = encode_context(example, params, config)
-    hidden_merge = fuse(hidden_emo, hidden_context, config.intensity)
-    decoded = decode(hidden_merge, params, config)
-    lm_logits = nm.matmul(decoded, params.token_embedding, transpose_b=True)
-    emo_row = nm.slice_rows(decoded, example.tag_position, example.tag_position + 1)
-    emotion_logits = nm.matmul(emo_row, params.emotion_head_weight)
-    return ForwardState(
-        hidden_emo=hidden_emo,
-        hidden_context=hidden_context,
-        hidden_merge=hidden_merge,
-        decoded=decoded,
-        lm_logits=lm_logits,
-        emotion_logits=emotion_logits,
-    )
+    return nm.cross_entropy(logits, targets)
 
 
 def total_loss(
     example: EncodedExample, params: ModelParams, config: ModelConfig, vnrc: np.ndarray
 ):
     """(c1 * L_lm + c2 * L_emo, L_lm, L_emo) for one example."""
-    hidden_emo = encode_emotion_from_matrix(vnrc, params, config)
-    hidden_context = encode_context(example, params, config)
-    decoded = decode(fuse(hidden_emo, hidden_context, config.intensity), params, config)
-    _, lm_loss = lm_head(decoded, example, params)
-    _, emo_loss = emotion_head(decoded, example, params)
+    state = forward(example, params, config, vnrc)
+    lm_loss = lm_head(state, example)
+    emo_loss = emotion_head(state, example)
     combined = nm.add(nm.scalar_mul(lm_loss, config.c1), nm.scalar_mul(emo_loss, config.c2))
     return combined, lm_loss, emo_loss

@@ -9,6 +9,7 @@ a non-finite value raises ``FloatingPointError`` at the op that caused it.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -431,32 +432,35 @@ def save_checkpoint(path: str | Path, params: list[Parameter]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    def read_exact(fh, count, what):
-        buf = fh.read(count)
-        if len(buf) != count:
-            raise ValueError(f"{path}: truncated checkpoint while reading {what}")
-        return buf
-
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read_exact(count, what):
+            # Lengths come from the file, so check them against what is left
+            # before asking read() for that many bytes.
+            left = size - fh.tell()
+            if count > left:
+                raise ValueError(f"{path}: truncated checkpoint while reading {what} "
+                                 f"({count} bytes declared, {left} left)")
+            return fh.read(count)
+
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", read_exact(fh, 4, "version"))
+        (version,) = struct.unpack("<I", read_exact(4, "version"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise ValueError(f"{path}: truncated checkpoint while reading name length")
-            (name_len,) = struct.unpack("<I", head)
-            name = read_exact(fh, name_len, "name").decode("utf-8")
-            (rank,) = struct.unpack("<I", read_exact(fh, 4, "rank"))
-            shape = tuple(
-                struct.unpack("<Q", read_exact(fh, 8, f"extent of {name}"))[0] for _ in range(rank)
-            )
-            count = int(np.prod(shape)) if shape else 1
-            raw = read_exact(fh, 8 * count, f"values of {name}")
-            out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        while fh.tell() < size:
+            (name_len,) = struct.unpack("<I", read_exact(4, "name length"))
+            try:
+                name = read_exact(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: name of parameter {len(out)} is not valid UTF-8") from None
+            (rank,) = struct.unpack("<I", read_exact(4, f"rank of {name}"))
+            shape = tuple(struct.unpack("<Q", read_exact(8, f"extent of {name}"))[0] for _ in range(rank))
+            raw = read_exact(8 * math.prod(shape), f"values of {name}")
+            try:
+                out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            except ValueError as err:  # a zero extent beside one too large for numpy
+                raise ValueError(f"{path}: parameter {name!r} has unusable shape {shape}: {err}") from None
     return out

@@ -25,17 +25,12 @@ class TrainConfig:
     max_epochs: int = 50
     patience: int = 5
     seed: int = 0
-    c1: float = 1.0
-    c2: float = 1.0
-    intensity: float = 1.0
 
     def __post_init__(self):
         if min(self.batch_size, self.max_epochs, self.patience) <= 0:
             raise ValueError("batch_size, max_epochs and patience must be positive")
         if self.learning_rate <= 0 or self.clip <= 0:
             raise ValueError("learning_rate and clip must be positive")
-        if self.c1 < 0 or self.c2 < 0 or self.intensity < 0:
-            raise ValueError("c1, c2 and intensity must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -104,17 +99,15 @@ def evaluate_loss(
 
 
 def train(
-    model_config: ModelConfig, train_config: TrainConfig, splits: DatasetSplit,
+    config: ModelConfig, train_config: TrainConfig, splits: DatasetSplit,
     lex: Lexicon, vocab: Vocabulary,
 ) -> tuple[ModelParams, TrainHistory]:
     """SGD over shuffled mini-batches; returns the best-validation-epoch weights.
 
-    ``train_config``'s c1/c2/intensity override the model config so ablations
-    only have to vary one object.  The same seed drives initialization and
-    batch shuffling, so identical configs give bit-identical histories.
+    The loss weights c1/c2 and the fusion intensity come from ``config``.  The
+    same seed drives initialization and batch shuffling, so identical configs
+    give bit-identical histories.
     """
-    config = replace(
-        model_config, c1=train_config.c1, c2=train_config.c2, intensity=train_config.intensity)
     if not splits.train or not splits.valid:
         raise ValueError("train and valid splits must be non-empty")
     prepared_train = _prepare(splits.train, vocab, lex, config)
@@ -194,16 +187,15 @@ def ablation_grid(
     tagged_test = assign_emotion_tags(list(splits.test), lex)
     rows = []
     for setting in ABLATION_LOSS_SETTINGS:
-        c1 = 0.0 if setting == "disable_lm" else train_config.c1
-        c2 = 0.0 if setting == "disable_emotion" else train_config.c2
+        c1 = 0.0 if setting == "disable_lm" else model_config.c1
+        c2 = 0.0 if setting == "disable_emotion" else model_config.c2
         for intensity in ABLATION_INTENSITIES:
-            cell_config = replace(train_config, c1=c1, c2=c2, intensity=intensity)
-            params, _ = train(model_config, cell_config, splits, lex, vocab)
-            effective = replace(model_config, c1=c1, c2=c2, intensity=intensity)
+            cell_config = replace(model_config, c1=c1, c2=c2, intensity=intensity)
+            params, _ = train(cell_config, train_config, splits, lex, vocab)
             pairs = []
             hyps = []
             for rec in tagged_test:
-                tokens = generate(params, effective, vocab, lex, GenerationQuery(
+                tokens = generate(params, cell_config, vocab, lex, GenerationQuery(
                     user=rec.user, item=rec.item, features=rec.features,
                     emotion=rec.emotion, max_tokens=max_tokens,
                 ))

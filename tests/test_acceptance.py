@@ -99,9 +99,9 @@ def test_acceptance_2_memorization():
     assert len(records) == 64
     split = split_dataset(records, seed=5)
     vocab = build_vocabulary(list(split.train))
-    config = config_for_vocab(vocab, embed_dim=64, ffn_dim=128)
+    config = config_for_vocab(vocab, embed_dim=64, ffn_dim=128, c1=1.0, c2=1.0)
     tc = TrainConfig(batch_size=16, learning_rate=1.0, clip=1.0,
-                     max_epochs=100, patience=100, seed=5, c1=1.0, c2=1.0)
+                     max_epochs=100, patience=100, seed=5)
     params, history = train(config, tc, split, lex, vocab)
 
     initial = history.initial_train[2]
@@ -232,13 +232,12 @@ def test_acceptance_7_directional_debiasing():
         vocab = build_vocabulary(list(split.train))
         test = assign_emotion_tags(list(split.test), lex)
         for c2 in (1.0, 0.0):
-            config = config_for_vocab(vocab, embed_dim=64, ffn_dim=128)
+            config = config_for_vocab(vocab, embed_dim=64, ffn_dim=128, c2=c2)
             tc = TrainConfig(batch_size=16, learning_rate=1.0, clip=1.0,
-                             max_epochs=8, patience=8, seed=seed, c2=c2)
+                             max_epochs=8, patience=8, seed=seed)
             params, _ = train(config, tc, split, lex, vocab)
-            effective = replace(config, c2=c2)
             generated = [
-                " ".join(generate(params, effective, vocab, lex,
+                " ".join(generate(params, config, vocab, lex,
                                   GenerationQuery(r.user, r.item, r.features, r.emotion)))
                 for r in test
             ]

@@ -200,11 +200,9 @@ def test_decode_shape_causality_determinism(tiny_setup, tiny_config):
 def test_emotion_head_zero_matrix_gives_uniform(tiny_setup, tiny_config):
     params, example, vnrc = tiny_setup
     params.emotion_head_weight.data[...] = 0.0
-    final = decode(fuse(
-        encode_emotion_from_matrix(vnrc, params, tiny_config),
-        encode_context(example, params, tiny_config), 1.0), params, tiny_config)
-    logits, loss = emotion_head(final, example, params)
-    probs = nm.softmax(logits).data
+    state = forward(example, params, tiny_config, vnrc)
+    loss = emotion_head(state, example)
+    probs = nm.softmax(state.emotion_logits).data
     assert np.allclose(probs, 1 / 6, atol=1e-12)
     assert math.isclose(loss.item(), math.log(6), rel_tol=1e-12)
 
@@ -250,29 +248,26 @@ def test_emotion_head_loss_decreases_on_separable_batch(tiny_vocab, lex):
 def test_lm_head_zero_weights_give_log_vocab(tiny_setup, tiny_config):
     params, example, vnrc = tiny_setup
     params.token_embedding.data[...] = 0.0
-    final = decode(fuse(
-        encode_emotion_from_matrix(vnrc, params, tiny_config),
-        encode_context(example, params, tiny_config), 1.0), params, tiny_config)
-    _, loss = lm_head(final, example, params)
+    loss = lm_head(forward(example, params, tiny_config, vnrc), example)
     assert math.isclose(loss.item(), math.log(tiny_config.n_tokens), rel_tol=1e-12)
 
 
 def test_lm_head_supervises_bos_through_eos(tiny_setup, tiny_config):
     params, example, vnrc = tiny_setup
-    final = decode(fuse(
-        encode_emotion_from_matrix(vnrc, params, tiny_config),
-        encode_context(example, params, tiny_config), 1.0), params, tiny_config)
-    logits, _ = lm_head(final, example, params)
+    state = forward(example, params, tiny_config, vnrc)
+    logits = state.lm_logits.data[example.bos_position:example.eos_position]
     # three explanation words -> predictions for e_1, e_2, e_3 and <eos>
-    assert logits.data.shape == (example.text_len + 1, tiny_config.n_tokens)
+    assert logits.shape == (example.text_len + 1, tiny_config.n_tokens)
+    targets = list(example.context_ids[example.bos_position + 1: example.eos_position + 1])
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    expected = -log_probs[np.arange(len(targets)), targets].mean()
+    assert abs(lm_head(state, example).item() - expected) <= 1e-12
 
 
 def test_lm_head_perplexity_at_least_one(tiny_setup, tiny_config):
     params, example, vnrc = tiny_setup
-    final = decode(fuse(
-        encode_emotion_from_matrix(vnrc, params, tiny_config),
-        encode_context(example, params, tiny_config), 1.0), params, tiny_config)
-    _, loss = lm_head(final, example, params)
+    loss = lm_head(forward(example, params, tiny_config, vnrc), example)
     assert math.exp(loss.item()) >= 1.0
 
 
@@ -330,10 +325,11 @@ def test_weight_tying_shared_storage(tiny_setup, tiny_config, tiny_vocab):
     params, example, vnrc = tiny_setup
     token = example.context_ids[5]
     before = forward(example, params, tiny_config, vnrc)
+    context_before = encode_context(example, params, tiny_config)
     params.token_embedding.data[token, 0] += 0.5
     after = forward(example, params, tiny_config, vnrc)
     # the embedding change moves the hidden states...
-    assert not np.array_equal(before.hidden_context.data, after.hidden_context.data)
+    assert not np.array_equal(context_before.data, encode_context(example, params, tiny_config).data)
     # ...and the same storage feeds that token's logit column
     assert not np.array_equal(
         before.lm_logits.data[:, token], after.lm_logits.data[:, token])

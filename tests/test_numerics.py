@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -264,6 +265,30 @@ def test_checkpoint_rejects_truncation(tmp_path):
     clipped.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="truncated"):
         nm.load_checkpoint(clipped)
+
+
+def _crafted_checkpoint(path, name: bytes, shape: tuple[int, ...]):
+    header = nm.CHECKPOINT_MAGIC + struct.pack("<I", nm.CHECKPOINT_VERSION)
+    entry = struct.pack("<I", len(name)) + name + struct.pack("<I", len(shape))
+    path.write_bytes(header + entry + b"".join(struct.pack("<Q", e) for e in shape) + bytes(64))
+    return path
+
+
+@pytest.mark.parametrize("shape", [(2**61,), (2**32, 2**32), (0, 2**62)],
+                         ids=["huge_extent", "wrapping_product", "empty_but_huge"])
+def test_checkpoint_rejects_hostile_extents(tmp_path, shape):
+    path = _crafted_checkpoint(tmp_path / "hostile.emot", b"weights", shape)
+    with pytest.raises(ValueError) as err:
+        nm.load_checkpoint(path)
+    assert str(path) in str(err.value)
+    assert "weights" in str(err.value)
+
+
+def test_checkpoint_rejects_non_utf8_name(tmp_path):
+    path = _crafted_checkpoint(tmp_path / "hostile.emot", b"\xff\xfe", (2,))
+    with pytest.raises(ValueError, match="not valid UTF-8") as err:
+        nm.load_checkpoint(path)
+    assert str(path) in str(err.value)
 
 
 @given(

@@ -49,18 +49,18 @@ def test_train_is_deterministic(small_split, small_vocab, lex):
 
 
 def test_train_records_emotion_loss_even_when_disabled(small_split, small_vocab, lex):
-    config = _config(small_vocab)
-    tc = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=3, c2=0.0)
+    config = _config(small_vocab, c2=0.0)
+    tc = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=3)
     params, hist = train(config, tc, small_split, lex, small_vocab)
     assert all(e.train_emo > 0 for e in hist.epochs)
     assert all(e.train_total == pytest.approx(e.train_lm, abs=1e-12) for e in hist.epochs)
 
 
 def test_train_with_c2_zero_leaves_emotion_head_untouched(small_split, small_vocab, lex):
-    config = _config(small_vocab)
-    tc = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=5, c2=0.0)
+    config = _config(small_vocab, c2=0.0)
+    tc = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=5)
     params, _ = train(config, tc, small_split, lex, small_vocab)
-    fresh = type(params)(replace(config, c2=0.0), seed=5)
+    fresh = type(params)(config, seed=5)
     assert np.array_equal(params.emotion_head_weight.data, fresh.emotion_head_weight.data)
 
 
@@ -108,13 +108,13 @@ def test_evaluate_loss_empty_errors(small_vocab, lex):
         evaluate_loss(params, [], config, small_vocab, lex)
 
 
-def test_train_rejects_nonpositive_settings():
+def test_train_rejects_nonpositive_settings(small_vocab):
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(c2=-0.5)
+        _config(small_vocab, c2=-0.5)
 
 
 def test_diverging_run_names_the_batch(small_split, small_vocab, lex):
@@ -140,7 +140,7 @@ def test_ablation_grid_shape_and_determinism(small_split, small_vocab, lex):
 
     # the (full, intensity=1) cell must match a standalone run with the same seeds
     full_cell = next(r for r in rows if r["loss_setting"] == "full" and r["intensity"] == 1.0)
-    params, _ = train(config, replace(tc, intensity=1.0), small_split, lex, small_vocab)
+    params, _ = train(replace(config, intensity=1.0), tc, small_split, lex, small_vocab)
     from emoexplain.generator import GenerationQuery, generate
     from emoexplain.metrics import EvaluationPair, build_report, report_to_dict
     from emoexplain.corpus import assign_emotion_tags
@@ -163,8 +163,8 @@ def test_ablation_grid_shape_and_determinism(small_split, small_vocab, lex):
 
 
 def test_ablation_disable_settings_zero_the_right_weight(small_split, small_vocab, lex):
-    config = _config(small_vocab)
-    tc = TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=31, c1=0.7, c2=0.3)
+    config = _config(small_vocab, c1=0.7, c2=0.3)
+    tc = TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=31)
     rows = ablation_grid(config, tc, small_split, lex, small_vocab, max_tokens=4)
     by_setting = {(r["loss_setting"], r["intensity"]): r for r in rows}
     assert by_setting[("disable_emotion", 1.0)]["c2"] == 0.0
