@@ -85,16 +85,15 @@ KEY_TYPES = {
 }
 
 
+BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def _parse_value(key: str, text: str):
     kind = KEY_TYPES[key]
-    if kind is bool:
-        lowered = text.strip().lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ValueError(f"config key {key!r}: cannot parse boolean from {text!r}")
-    return kind(text)
+    try:
+        return BOOLEANS[text.strip().lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"config key {key!r}: cannot parse {kind.__name__} from {text!r}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -110,7 +109,10 @@ def _read_config_file(path: str) -> dict:
             key = key.strip()
             if key not in KEY_TYPES:
                 raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
-            out[key] = _parse_value(key, value.strip())
+            try:
+                out[key] = _parse_value(key, value.strip())
+            except ValueError as err:
+                raise ValueError(f"{path}: line {lineno}: {err}") from None
     return out
 
 
@@ -123,7 +125,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     profile = flags.get("profile") or file_values.get("profile") or BASE_DEFAULTS["profile"]
     if profile not in PROFILES:
-        raise ValueError(f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}")
+        raise ValueError(f"{args.config}: unknown profile {profile!r}; expected one of {sorted(PROFILES)}")
     resolved = dict(BASE_DEFAULTS)
     resolved.update(PROFILES[profile])
     resolved.update(file_values)
@@ -177,12 +179,14 @@ def _load_split_dir(data_dir: Path, seed: int) -> DatasetSplit:
 
 
 def _load_vocab(path: Path) -> Vocabulary:
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    return Vocabulary(
-        id_to_token=tuple(obj["tokens"]),
-        id_to_user=tuple(obj["users"]),
-        id_to_item=tuple(obj["items"]),
-    )
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        tables = [obj.get(key) if isinstance(obj, dict) else None for key in ("tokens", "users", "items")]
+        if not all(isinstance(t, list) and all(isinstance(name, str) for name in t) for t in tables):
+            raise ValueError('expected "tokens", "users" and "items" lists of strings')
+        return Vocabulary(*map(tuple, tables))
+    except (ValueError, RecursionError) as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _save_vocab(path: Path, vocab: Vocabulary) -> None:
@@ -227,26 +231,28 @@ def _load_generated(path: Path) -> list[dict]:
             if not line.strip():
                 continue
             try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON ({err.msg})") from None
+                row = json.loads(line)
+            except (ValueError, RecursionError) as err:  # also over-long integers and deep nesting
+                raise ValueError(f"{path}: line {lineno}: invalid JSON ({getattr(err, 'msg', err)})") from None
+            if not isinstance(row, dict) or not isinstance(row.get("explanation", ""), str):
+                raise ValueError(f"{path}: line {lineno}: expected an object with a string \"explanation\"")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no generated explanations found")
     return rows
 
 
-def _paired(generated: list[dict], references: list[Record], source: str) -> list[EvaluationPair]:
+def _aligned_explanations(path: Path, references: tuple[Record, ...]) -> list[str]:
+    """The explanations in a generated file whose rows match the test split's (user, item) one by one."""
+    generated = _load_generated(path)
     if len(generated) != len(references):
-        raise ValueError(
-            f"{source}: {len(generated)} generated explanations vs {len(references)} test records")
-    pairs = []
+        raise ValueError(f"{path}: {len(generated)} generated explanations vs {len(references)} test records")
     for row, rec in zip(generated, references):
         if row.get("user") != rec.user or row.get("item") != rec.item:
             raise ValueError(
-                f"{source}: generated row for ({row.get('user')}, {row.get('item')}) "
+                f"{path}: generated row for ({row.get('user')}, {row.get('item')}) "
                 f"does not align with test record ({rec.user}, {rec.item})")
-        pairs.append(EvaluationPair.from_texts(rec.explanation, row.get("explanation", ""), rec.features))
-    return pairs
+    return [row.get("explanation", "") for row in generated]
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +333,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 vocab_r = build_vocabulary(list(split_r.train), resolved["vocab_cap"])
                 run_dir = out_dir / f"run{r}"
                 run_dir.mkdir(parents=True, exist_ok=True)
+                write_resolved_config(run_dir, {**resolved, "seed": seed_r})
                 finals.append(_train_once(resolved, split_r, lex, vocab_r, seed_r, run_dir))
             _write_json(out_dir / "summary.json", {
                 "runs": finals,
@@ -336,11 +343,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _config_near_checkpoint(checkpoint: Path) -> dict:
-    config_path = checkpoint.parent / "config.txt"
-    if not config_path.exists():
-        raise ValueError(f"cannot find {config_path} next to the checkpoint")
-    return _read_config_file(str(config_path))
+def _beside_checkpoint(checkpoint: Path, name: str) -> Path:
+    path = checkpoint.parent / name
+    if not path.exists():
+        raise ValueError(f"cannot find {path} next to the checkpoint")
+    return path
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -351,19 +358,22 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out_dir = Path(resolved["out"])
     lex = load_lexicon(resolved["lexicon"])
 
-    stored = _config_near_checkpoint(checkpoint)
+    config_path = _beside_checkpoint(checkpoint, "config.txt")
+    stored = _read_config_file(str(config_path))
     for key in ("max_len", "embed_dim", "ffn_dim", "encoder_layers", "decoder_layers",
                 "attention_heads", "intensity", "c1", "c2", "mask_emotion_tag"):
         if key in stored and getattr(args, key, None) is None:
             resolved[key] = stored[key]
 
-    vocab_path = checkpoint.parent / "vocab.json"
-    if not vocab_path.exists():
-        vocab_path = data_dir / "vocab.json"
+    vocab_path = _beside_checkpoint(checkpoint, "vocab.json")
     vocab = _load_vocab(vocab_path)
-    config = _model_config(resolved, vocab)
-    params = ModelParams(config, seed=0)
-    params.load_state(nm.load_checkpoint(checkpoint))
+    state = nm.load_checkpoint(checkpoint)
+    try:
+        config = _model_config(resolved, vocab)
+        params = ModelParams(config, seed=0)
+        params.load_state(state)
+    except ValueError as err:
+        raise ValueError(f"{checkpoint}: {err} (model built from {config_path} and {vocab_path})") from None
 
     split = _load_split_dir(data_dir, resolved["seed"])
     tagged = assign_emotion_tags(list(split.test), lex)
@@ -398,9 +408,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _require(resolved, "generated", "data", "out")
     data_dir = Path(resolved["data"])
     out_dir = Path(resolved["out"])
-    generated = _load_generated(Path(resolved["generated"]))
     split = _load_split_dir(data_dir, resolved["seed"])
-    pairs = _paired(generated, list(split.test), resolved["generated"])
+    texts = _aligned_explanations(Path(resolved["generated"]), split.test)
+    pairs = [EvaluationPair.from_texts(rec.explanation, text, rec.features)
+             for rec, text in zip(split.test, texts)]
     lex = load_lexicon(resolved["lexicon"]) if resolved.get("lexicon") else None
     report = build_report(pairs, lex)
 
@@ -420,25 +431,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
     out_dir = Path(resolved["out"])
     lex = load_lexicon(resolved["lexicon"])
     split = _load_split_dir(data_dir, resolved["seed"])
-    generated = _load_generated(Path(resolved["generated"]))
-    if len(generated) != len(split.test):
-        raise ValueError(
-            f"{resolved['generated']}: {len(generated)} generated explanations "
-            f"vs {len(split.test)} test records")
-
     gt_texts = [rec.explanation for rec in split.test]
-    gen_texts = [row.get("explanation", "") for row in generated]
-    audit = emotion_audit(gt_texts, gen_texts, lex)
+    audit = emotion_audit(gt_texts, _aligned_explanations(Path(resolved["generated"]), split.test), lex)
     payload = {"audit": audit_to_dict(audit)}
 
     debias_column = None
     if resolved.get("baseline"):
-        baseline = _load_generated(Path(resolved["baseline"]))
-        if len(baseline) != len(split.test):
-            raise ValueError(
-                f"{resolved['baseline']}: {len(baseline)} baseline explanations "
-                f"vs {len(split.test)} test records")
-        base_audit = emotion_audit(gt_texts, [row.get("explanation", "") for row in baseline], lex)
+        base_audit = emotion_audit(gt_texts, _aligned_explanations(Path(resolved["baseline"]), split.test), lex)
         debias_column = {}
         for k, name in enumerate(CATEGORIES):
             gt_pct = 100.0 * audit.gt_distribution[k]

@@ -14,8 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from math import exp, log
 
-import numpy as np
-
 from .corpus import tokenize
 from .lexicon import CATEGORIES, Lexicon, classify_explanation, emotion_distribution
 
@@ -133,37 +131,18 @@ def hypothesis_feature_sets(pairs: list[EvaluationPair]) -> list[frozenset]:
     return [frozenset(f for f in universe if f in pair.hypothesis) for pair in pairs]
 
 
-def div(feature_sets: list, sample_threshold: int = 2000, n_sample_pairs: int = 10**6, seed: int = 0) -> float:
-    """Mean pairwise feature-set intersection size (lower is more diverse).
+def div(feature_sets: list) -> float:
+    """Mean feature-set intersection size over all unordered pairs (lower is more diverse).
 
-    All unordered pairs are enumerated up to ``sample_threshold`` sets; beyond
-    that, ``n_sample_pairs`` pairs are sampled uniformly with a fixed seed.
+    A feature held by c of the sets lies in c*(c-1)/2 pairwise intersections, so
+    the total over all pairs is summed per feature: exact at any corpus size.
     """
     count = len(feature_sets)
     if count < 2:
         raise ValueError("div needs at least two feature sets")
-    universe = sorted(set().union(*feature_sets))
-    index = {f: i for i, f in enumerate(universe)}
-    masks = [sum(1 << index[f] for f in s) for s in feature_sets]
-
-    if count <= sample_threshold:
-        total = 0
-        for i in range(count):
-            for j in range(i + 1, count):
-                total += (masks[i] & masks[j]).bit_count()
-        return total / (count * (count - 1) // 2)
-
-    rng = np.random.default_rng(seed)
-    total = 0
-    remaining = n_sample_pairs
-    while remaining:
-        left = rng.integers(0, count, size=remaining)
-        right = rng.integers(0, count, size=remaining)
-        keep = left != right
-        for i, j in zip(left[keep], right[keep]):
-            total += (masks[i] & masks[j]).bit_count()
-        remaining -= int(keep.sum())
-    return total / n_sample_pairs
+    holders = Counter(f for s in feature_sets for f in set(s))
+    shared = sum(c * (c - 1) // 2 for c in holders.values())
+    return shared / (count * (count - 1) // 2)
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,13 @@ def test_train_splits_repeat_flag(tmp_path, prepared_dir):
         assert (out / f"run{r}" / "model.emot").exists()
         assert (out / f"run{r}" / "vocab.json").exists()
         assert (out / f"run{r}" / "history.json").exists()
+        assert f"seed={23 + r}\n" in (out / f"run{r}" / "config.txt").read_text()
+    code = main([
+        "generate", "--data", str(prepared_dir), "--checkpoint", str(out / "run0" / "model.emot"),
+        "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(tmp_path / "gen"), "--max-tokens", "4",
+    ])
+    assert code == 0
+    assert (tmp_path / "gen" / "generated.jsonl").exists()
 
 
 def test_train_reproducible_from_resolved_config_alone(tmp_path, prepared_dir, trained_dir):
@@ -259,3 +266,76 @@ def test_gradcheck_writes_report_when_out_given(tmp_path):
     assert payload["passed"] is True
     assert payload["max_relative_error"] < 1e-3
     assert (out / "config.txt").exists()
+
+
+def _checkpoint_copy(trained_dir: Path, dest: Path, with_vocab: bool = True) -> Path:
+    dest.mkdir()
+    names = ("model.emot", "config.txt", "vocab.json") if with_vocab else ("model.emot", "config.txt")
+    for name in names:
+        (dest / name).write_bytes((trained_dir / name).read_bytes())
+    return dest / "model.emot"
+
+
+def test_generate_needs_vocab_beside_checkpoint(tmp_path, prepared_dir, trained_dir, capsys):
+    checkpoint = _checkpoint_copy(trained_dir, tmp_path / "ckpt", with_vocab=False)
+    code = main([
+        "generate", "--data", str(prepared_dir), "--checkpoint", str(checkpoint),
+        "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(tmp_path / "gen"),
+    ])
+    assert code == 2
+    assert str(tmp_path / "ckpt" / "vocab.json") in capsys.readouterr().err
+
+
+def test_vocab_without_tokens_exits_2_naming_path(tmp_path, prepared_dir, trained_dir, capsys):
+    checkpoint = _checkpoint_copy(trained_dir, tmp_path / "ckpt")
+    vocab_path = tmp_path / "ckpt" / "vocab.json"
+    vocab = json.loads(vocab_path.read_text())
+    del vocab["tokens"]
+    vocab_path.write_text(json.dumps(vocab), encoding="utf-8")
+    code = main([
+        "generate", "--data", str(prepared_dir), "--checkpoint", str(checkpoint),
+        "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(tmp_path / "gen"),
+    ])
+    assert code == 2
+    assert str(vocab_path) in capsys.readouterr().err
+
+
+def test_config_value_error_names_path_and_line(tmp_path, corpus_file, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("vocab_cap=17\nseed=abc\n", encoding="utf-8")
+    code = main([
+        "prepare", "--config", str(cfg), "--records", str(corpus_file),
+        "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert f"{cfg}: line 2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "audit"])
+@pytest.mark.parametrize("bad_row", ["[1, 2]", '{"user": "u", "item": "i", "explanation": 5}'])
+def test_malformed_generated_row_exits_2(tmp_path, prepared_dir, generated_dir, capsys, command, bad_row):
+    lines = (generated_dir / "generated.jsonl").read_text().splitlines()
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join([lines[0], bad_row, *lines[2:]]) + "\n", encoding="utf-8")
+    code = main([
+        command, "--data", str(prepared_dir), "--generated", str(broken),
+        "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(tmp_path / "out"), "--seed", "23",
+    ])
+    assert code == 2
+    assert f"{broken}: line 2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reversed_option", ["--generated", "--baseline"])
+def test_audit_reversed_file_exits_2(tmp_path, prepared_dir, generated_dir, capsys, reversed_option):
+    generated = generated_dir / "generated.jsonl"
+    lines = generated.read_text().splitlines()
+    assert lines[::-1] != lines
+    reversed_file = tmp_path / "reversed.jsonl"
+    reversed_file.write_text("\n".join(lines[::-1]) + "\n", encoding="utf-8")
+    files = {"--generated": generated, "--baseline": generated, reversed_option: reversed_file}
+    code = main([
+        "audit", "--data", str(prepared_dir), *(str(a) for kv in files.items() for a in kv),
+        "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(tmp_path / "audit"), "--seed", "23",
+    ])
+    assert code == 2
+    assert f"{reversed_file}: generated row for" in capsys.readouterr().err

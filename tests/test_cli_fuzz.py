@@ -1,0 +1,131 @@
+"""Hostile-input fuzzers for the CLI readers.
+
+Each property drives ``cli.main`` with arbitrary content in one input file: a
+``generated.jsonl`` (through ``evaluate`` and ``audit``), a ``--config`` file,
+or the ``vocab.json`` beside a checkpoint.  Whatever the content, the command
+exits 0 or 2, no exception escapes, and an exit-2 message names the file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
+
+from emoexplain.cli import KEY_TYPES, main
+from emoexplain.corpus import generate_synthetic_corpus, load_records, save_records
+from emoexplain.fixtures import pool_corpus_spec
+
+from .conftest import FIXTURE_LEXICON_PATH
+
+FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["user", "item", "explanation", "tokens", "users", "items"]) | st.text(),
+                      inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory) -> Path:
+    """A prepared data directory and a one-epoch checkpoint, shared by every example."""
+    root = tmp_path_factory.mktemp("fuzz")
+    records = root / "records.jsonl"
+    spec = pool_corpus_spec(4, 5, 30, (0.25, 0.15, 0.15, 0.15, 0.15, 0.15), min_words=3, max_words=5)
+    save_records(records, generate_synthetic_corpus(spec, seed=5))
+    lexicon = str(FIXTURE_LEXICON_PATH)
+    assert main(["prepare", "--records", str(records), "--lexicon", lexicon,
+                 "--out", str(root / "data"), "--seed", "5"]) == 0
+    assert main(["train", "--data", str(root / "data"), "--lexicon", lexicon, "--out", str(root / "run"),
+                 "--seed", "5", "--embed-dim", "8", "--ffn-dim", "16", "--batch-size", "8",
+                 "--max-epochs", "1", "--patience", "1"]) == 0
+    return root
+
+
+def _run(argv: list[str], path: Path) -> None:
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = main([str(a) for a in argv])
+    event(f"exit {code}")  # shown by --hypothesis-show-statistics
+    assert code in (0, 2), stderr.getvalue()
+    if code == 2:
+        assert str(path) in stderr.getvalue()
+
+
+def _test_rows(workspace: Path, explanation) -> str:
+    rows = [{"user": r.user, "item": r.item, "explanation": explanation}
+            for r in load_records(workspace / "data" / "test.jsonl")]
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+def _generated_text():
+    """Arbitrary text, lines of arbitrary JSON, or test-aligned rows with an arbitrary explanation."""
+    return st.one_of(
+        st.text(),
+        st.lists(JSON_VALUES.map(json.dumps), min_size=1, max_size=6).map("\n".join),
+        st.tuples(st.just("aligned"), st.text() | JSON_VALUES),
+    )
+
+
+@pytest.mark.parametrize("command", ["evaluate", "audit"])
+@FUZZ
+@given(content=_generated_text())
+@example(content="1" * 5000)
+@example(content="[" * 100_000)
+def test_generated_file_fuzz(workspace, command, content):
+    if isinstance(content, tuple):
+        content = _test_rows(workspace, content[1])
+    path = workspace / f"generated-{command}.jsonl"
+    path.write_text(content, encoding="utf-8")
+    _run([command, "--data", workspace / "data", "--generated", path, "--lexicon", FIXTURE_LEXICON_PATH,
+          "--out", workspace / f"out-{command}", "--seed", "5"], path)
+
+
+CONFIG_LINES = st.one_of(
+    st.text(),
+    st.tuples(st.sampled_from(sorted(KEY_TYPES)), st.text()).map("=".join),
+    st.tuples(st.sampled_from(sorted(k for k, kind in KEY_TYPES.items() if kind is not str)),
+              st.integers(0, 10**6).map(str) | st.sampled_from(["1.5", "true", "no", "1e3", "nan"])).map("=".join),
+)
+
+
+@FUZZ
+@given(lines=st.lists(CONFIG_LINES, max_size=6))
+def test_config_file_fuzz(workspace, lines):
+    path = workspace / "fuzz.cfg"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    _run(["prepare", "--config", path, "--records", workspace / "records.jsonl",
+          "--lexicon", FIXTURE_LEXICON_PATH, "--out", workspace / "out-prepare"], path)
+
+
+@FUZZ
+@given(content=st.one_of(
+    st.text(),
+    JSON_VALUES.map(json.dumps),
+    st.fixed_dictionaries({key: st.lists(st.text(max_size=3), max_size=30)
+                           for key in ("tokens", "users", "items")}).map(json.dumps),
+    st.tuples(st.just("shuffled"), st.randoms(use_true_random=False)),
+))
+@example(content="[" * 100_000)
+def test_checkpoint_vocab_fuzz(workspace, content):
+    ckpt = workspace / "ckpt"
+    ckpt.mkdir(exist_ok=True)
+    for name in ("model.emot", "config.txt"):
+        (ckpt / name).write_bytes((workspace / "run" / name).read_bytes())
+    if isinstance(content, tuple):  # the trained vocabulary with each table reordered
+        vocab = json.loads((workspace / "run" / "vocab.json").read_text())
+        for table in vocab.values():
+            content[1].shuffle(table)
+        content = json.dumps(vocab)
+    path = ckpt / "vocab.json"
+    path.write_text(content, encoding="utf-8")
+    _run(["generate", "--data", workspace / "data", "--checkpoint", ckpt / "model.emot",
+          "--lexicon", FIXTURE_LEXICON_PATH, "--out", workspace / "out-generate", "--max-tokens", "3"], path)

@@ -181,13 +181,11 @@ def test_div_matches_oracle_on_random_sets():
         assert div(sets) == pytest.approx(oracles.div_oracle(sets), abs=1e-12)
 
 
-def test_div_sampling_close_to_enumeration():
+def test_div_exact_over_all_pairs_of_2100_sets():
     rng = np.random.default_rng(4)
     sets = [set(str(w) for w in rng.choice(WORDS, size=rng.integers(0, 4), replace=False))
             for _ in range(2100)]
-    exact = div(sets, sample_threshold=3000)
-    sampled = div(sets, sample_threshold=2000, n_sample_pairs=200_000, seed=0)
-    assert abs(exact - sampled) < 0.02
+    assert div(sets) == pytest.approx(oracles.div_oracle(sets), abs=1e-12)
 
 
 def test_metric_ranges():
