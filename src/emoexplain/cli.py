@@ -32,7 +32,7 @@ from .corpus import (
 )
 from .fixtures import fixture_lexicon
 from .generator import GenerationQuery, batch_generate
-from .lexicon import CATEGORIES, Lexicon, load_lexicon
+from .lexicon import CATEGORIES, Lexicon, load_lexicon, text_lines
 from .metrics import (
     EvaluationPair,
     audit_table,
@@ -98,21 +98,20 @@ def _parse_value(key: str, text: str):
 
 def _read_config_file(path: str) -> dict:
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}: line {lineno}: expected key=value, got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key not in KEY_TYPES:
-                raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
-            try:
-                out[key] = _parse_value(key, value.strip())
-            except ValueError as err:
-                raise ValueError(f"{path}: line {lineno}: {err}") from None
+    for lineno, line in text_lines(path):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"{path}: line {lineno}: expected key=value, got {stripped!r}")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key not in KEY_TYPES:
+            raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
+        try:
+            out[key] = _parse_value(key, value.strip())
+        except ValueError as err:
+            raise ValueError(f"{path}: line {lineno}: {err}") from None
     return out
 
 
@@ -131,6 +130,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
     resolved.update(file_values)
     resolved.update(flags)
     resolved["profile"] = profile
+    if resolved["seed"] < 0:
+        where = "--seed" if "seed" in flags else f"{args.config}: seed"
+        raise ValueError(f"{where} must be a non-negative integer, got {resolved['seed']}")
     return resolved
 
 
@@ -226,17 +228,16 @@ def _train_config(resolved: dict, seed: int) -> TrainConfig:
 
 def _load_generated(path: Path) -> list[dict]:
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except (ValueError, RecursionError) as err:  # also over-long integers and deep nesting
-                raise ValueError(f"{path}: line {lineno}: invalid JSON ({getattr(err, 'msg', err)})") from None
-            if not isinstance(row, dict) or not isinstance(row.get("explanation", ""), str):
-                raise ValueError(f"{path}: line {lineno}: expected an object with a string \"explanation\"")
-            rows.append(row)
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except (ValueError, RecursionError) as err:  # also over-long integers and deep nesting
+            raise ValueError(f"{path}: line {lineno}: invalid JSON ({getattr(err, 'msg', err)})") from None
+        if not isinstance(row, dict) or not isinstance(row.get("explanation", ""), str):
+            raise ValueError(f"{path}: line {lineno}: expected an object with a string \"explanation\"")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no generated explanations found")
     return rows

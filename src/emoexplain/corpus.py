@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lexicon import CATEGORIES, Lexicon, category_index, classify_explanation
+from .lexicon import CATEGORIES, Lexicon, category_index, classify_explanation, text_lines
 
 SPECIAL_TOKENS = (
     "<bos>", "<eos>", "<pad>", "<unk>",
@@ -125,18 +125,17 @@ def tokenize(text: str) -> list[str]:
 def load_records(path: str | Path) -> list[Record]:
     """Read a JSON-lines record file; errors carry the offending line number."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON ({err.msg})") from None
-            try:
-                records.append(_record_from_obj(obj))
-            except (KeyError, TypeError, ValueError) as err:
-                raise ValueError(f"{path}: line {lineno}: {err}") from None
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as err:  # also over-long integers and deep nesting
+            raise ValueError(f"{path}: line {lineno}: invalid JSON ({getattr(err, 'msg', err)})") from None
+        try:
+            records.append(_record_from_obj(obj))
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(f"{path}: line {lineno}: {err}") from None
     if not records:
         raise ValueError(f"{path}: no records found")
     return records

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import numerics as nm
 from .corpus import BOS, EOS, PAD, EncodedExample, Vocabulary, tokenize
 from .lexicon import Lexicon, category_index
-from .model import ModelConfig, ModelParams, emotion_input_matrix, forward
+from .model import (
+    DecodeCache,
+    ModelConfig,
+    ModelParams,
+    emotion_input_matrix,
+    next_token_logits,
+    token_emotion,
+)
 
 
 @dataclass(frozen=True)
@@ -58,26 +65,24 @@ def generate(
     if prefix_len + 2 > config.max_len:
         raise ValueError(f"prefix of {prefix_len} leaves no generation room within max_len {config.max_len}")
 
+    # The first step feeds the prefix and <bos>; every later step feeds only
+    # the token the step before emitted, and the cache supplies the rest.
+    example = EncodedExample(
+        context_ids=(*prefix, BOS), emotion_target=tag_index, prefix_len=prefix_len, text_len=0)
+    vnrc = emotion_input_matrix(example, vocab, lex, config.mask_emotion_tag)
+    cache = DecodeCache()
     generated: list[int] = []
     with nm.no_grad():
         while len(generated) < query.max_tokens and prefix_len + 1 + len(generated) < config.max_len:
-            ids = prefix + [BOS] + generated
-            ids.extend([PAD] * (config.max_len - len(ids)))
-            example = EncodedExample(
-                context_ids=tuple(ids),
-                emotion_target=tag_index,
-                prefix_len=prefix_len,
-                text_len=len(generated),
-            )
-            vnrc = emotion_input_matrix(example, vocab, lex, config.mask_emotion_tag)
-            last = prefix_len + len(generated)
-            scores = forward(example, params, config, vnrc).lm_logits.data[last]
+            scores = next_token_logits(example, params, config, vnrc, cache)
             scores[PAD] = -np.inf
             scores[BOS] = -np.inf
             next_id = int(np.argmax(scores))
             if next_id == EOS:
                 break
             generated.append(next_id)
+            example = replace(example, context_ids=(next_id,))
+            vnrc = np.array([token_emotion(next_id, vocab, lex)])
     return [vocab.id_to_token[i] for i in generated]
 
 

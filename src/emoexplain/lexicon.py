@@ -11,7 +11,7 @@ table yields the neutral fallback vector (0, 0, 0, 0, 0, 1).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,6 +51,27 @@ class Lexicon:
         return word.lower() in self.table
 
 
+def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) over a UTF-8 text file.
+
+    Bytes that are not UTF-8 raise ValueError naming the path and the line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        # The stream decodes in chunks, so its error cannot place the byte;
+        # decoding the whole file again can.
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            before = data[:err.start]
+            line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+            raise ValueError(f"{path}: line {line}: not UTF-8 text ({err.reason})") from None
+        raise
+
+
 def lexicon_from_triples(triples: Iterable[tuple[str, str, float]]) -> Lexicon:
     """Assemble (word, source category, score) triples into a Lexicon.
 
@@ -71,22 +92,21 @@ def lexicon_from_triples(triples: Iterable[tuple[str, str, float]]) -> Lexicon:
 def load_lexicon(path: str | Path) -> Lexicon:
     """Parse a tab-separated word/category/score file into a Lexicon (see lexicon_from_triples)."""
     triples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected word<TAB>category<TAB>score, got {stripped!r}")
-            word, category, score_text = parts
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: score {score_text!r} is not a number") from None
-            if not 0.0 <= score <= 1.0:
-                raise ValueError(f"{path}: line {lineno}: score {score} outside [0, 1]")
-            triples.append((word, category, score))
+    for lineno, line in text_lines(path):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"{path}: line {lineno}: expected word<TAB>category<TAB>score, got {stripped!r}")
+        word, category, score_text = parts
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: score {score_text!r} is not a number") from None
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"{path}: line {lineno}: score {score} outside [0, 1]")
+        triples.append((word, category, score))
     return lexicon_from_triples(triples)
 
 

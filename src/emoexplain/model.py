@@ -10,7 +10,7 @@ the decoder) is causal so the next-token factorization stays valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -176,11 +176,38 @@ class ForwardState:
     emotion_logits: Tensor
 
 
-def _encoder_stack(x: Tensor, layers: list[LayerParams], n_heads: int) -> Tensor:
-    for lp in layers:
+# One stack's keys and values: a (K, V) pair per layer, each with a row per position.
+StackCache = list[tuple[Tensor, Tensor]]
+
+
+@dataclass
+class DecodeCache:
+    """Keys and values of the positions fed so far, for incremental decoding."""
+
+    emotion: StackCache = field(default_factory=list)
+    context: StackCache = field(default_factory=list)
+    decoder: StackCache = field(default_factory=list)
+    length: int = 0
+
+
+def _encoder_stack(x: Tensor, layers: list[LayerParams], n_heads: int, cache: StackCache | None = None) -> Tensor:
+    """The rows of ``x`` through a causal stack.
+
+    With a ``cache``, ``x`` holds the positions that follow the cached ones:
+    each layer appends its new K/V rows to the cache and attends over all of
+    them, so earlier positions are never recomputed.
+    """
+    for i, lp in enumerate(layers):
         q = nm.matmul(x, lp.wq)
         k = nm.matmul(x, lp.wk)
         v = nm.matmul(x, lp.wv)
+        if cache is not None:
+            if i < len(cache):
+                k = nm.concat([cache[i][0], k])
+                v = nm.concat([cache[i][1], v])
+                cache[i] = (k, v)
+            else:
+                cache.append((k, v))
         att = nm.attention(q, k, v, n_heads)
         att = nm.add(nm.matmul(att, lp.wo), lp.bo)
         x = nm.layer_norm(nm.add(x, att), lp.ln1_gamma, lp.ln1_beta)
@@ -188,6 +215,13 @@ def _encoder_stack(x: Tensor, layers: list[LayerParams], n_heads: int) -> Tensor
         h = nm.add(nm.matmul(h, lp.ffn_w2), lp.ffn_b2)
         x = nm.layer_norm(nm.add(x, h), lp.ln2_gamma, lp.ln2_beta)
     return x
+
+
+def _positions(params: ModelParams, config: ModelConfig, start: int, rows: int) -> Tensor:
+    """Positional rows for positions start .. start + rows - 1."""
+    if (start, rows) == (0, config.max_len):
+        return params.positional
+    return nm.slice_rows(params.positional, start, start + rows)
 
 
 def emotion_embed(params: ModelParams, intensities: Tensor) -> Tensor:
@@ -216,31 +250,54 @@ def emotion_input_matrix(
                 one_hot = [0.0] * N_EMOTIONS
                 one_hot[example.emotion_target] = 1.0
                 rows.append(tuple(one_hot))
-        elif token_id < N_SPECIAL:
-            rows.append(NEUTRAL_VECTOR)
         else:
-            rows.append(word_emotion(lex, vocab.id_to_token[token_id]))
+            rows.append(token_emotion(token_id, vocab, lex))
     return np.array(rows, dtype=np.float64)
 
 
-def encode_emotion_from_matrix(vnrc: np.ndarray, params: ModelParams, config: ModelConfig) -> Tensor:
-    if vnrc.shape != (config.max_len, N_EMOTIONS):
+def token_emotion(token_id: int, vocab: Vocabulary, lex: Lexicon) -> tuple[float, ...]:
+    """Emotion-encoder input at a token position past the tag: special tokens are neutral."""
+    return NEUTRAL_VECTOR if token_id < N_SPECIAL else word_emotion(lex, vocab.id_to_token[token_id])
+
+
+def encode_emotion_from_matrix(
+    vnrc: np.ndarray, params: ModelParams, config: ModelConfig,
+    cache: StackCache | None = None, start: int = 0,
+) -> Tensor:
+    """The emotion encoder over all max_len rows of ``vnrc``, or with a ``cache``
+    over rows for the positions ``start`` onward."""
+    if vnrc.ndim != 2 or vnrc.shape[1] != N_EMOTIONS or (cache is None and vnrc.shape[0] != config.max_len):
         raise ValueError(f"emotion input shape {vnrc.shape}, expected ({config.max_len}, {N_EMOTIONS})")
-    x = nm.add(emotion_embed(params, Tensor(vnrc)), params.positional)
-    return _encoder_stack(x, params.emotion_encoder, config.attention_heads)
+    x = nm.add(emotion_embed(params, Tensor(vnrc)), _positions(params, config, start, vnrc.shape[0]))
+    return _encoder_stack(x, params.emotion_encoder, config.attention_heads, cache)
 
 
-def encode_context(example: EncodedExample, params: ModelParams, config: ModelConfig) -> Tensor:
+def encode_context(
+    example: EncodedExample, params: ModelParams, config: ModelConfig,
+    cache: StackCache | None = None, start: int = 0,
+) -> Tensor:
+    """The context encoder over all max_len ids of ``example``, or with a ``cache``
+    over ids for the positions ``start`` onward.
+
+    Positions 0 and 1 index the user and item tables, so a call with a
+    ``start`` past 0 must start at a token position (2 or later);
+    ``example.tag_position`` is absolute either way.
+    """
     ids = list(example.context_ids)
-    if len(ids) != config.max_len:
+    if cache is None and len(ids) != config.max_len:
         raise ValueError(f"context length {len(ids)} does not match max_len {config.max_len}")
-    if config.mask_emotion_tag:
-        ids[example.tag_position] = UNK
-    user_vec = nm.embedding(params.user_embedding, [ids[0]])
-    item_vec = nm.embedding(params.item_embedding, [ids[1]])
-    token_vecs = nm.embedding(params.token_embedding, ids[2:])
-    x = nm.add(nm.concat([user_vec, item_vec, token_vecs], axis=0), params.positional)
-    return _encoder_stack(x, params.context_encoder, config.attention_heads)
+    tag = example.tag_position - start
+    if config.mask_emotion_tag and 0 <= tag < len(ids):
+        ids[tag] = UNK
+    if start == 0:
+        user_vec = nm.embedding(params.user_embedding, [ids[0]])
+        item_vec = nm.embedding(params.item_embedding, [ids[1]])
+        token_vecs = nm.embedding(params.token_embedding, ids[2:])
+        x = nm.concat([user_vec, item_vec, token_vecs], axis=0)
+    else:
+        x = nm.embedding(params.token_embedding, ids)
+    x = nm.add(x, _positions(params, config, start, len(ids)))
+    return _encoder_stack(x, params.context_encoder, config.attention_heads, cache)
 
 
 def fuse(hidden_emo: Tensor, hidden_context: Tensor, intensity: float) -> Tensor:
@@ -249,22 +306,55 @@ def fuse(hidden_emo: Tensor, hidden_context: Tensor, intensity: float) -> Tensor
     return nm.add(nm.scalar_mul(hidden_emo, intensity), hidden_context)
 
 
-def decode(hidden_merge: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
-    return _encoder_stack(hidden_merge, params.decoder, config.attention_heads)
+def decode(hidden_merge: Tensor, params: ModelParams, config: ModelConfig, cache: StackCache | None = None) -> Tensor:
+    return _encoder_stack(hidden_merge, params.decoder, config.attention_heads, cache)
+
+
+def _decoded(
+    example: EncodedExample, params: ModelParams, config: ModelConfig, vnrc: np.ndarray,
+    cache: DecodeCache | None = None,
+) -> Tensor:
+    """Decoder states of the positions in ``example`` and ``vnrc``.
+
+    The one composition of the two encoders, fusion and decoder: over all
+    max_len positions without a cache, or over the positions that follow
+    those already in ``cache``, which then holds them too.
+    """
+    emotion, context, decoder = (None, None, None) if cache is None else (
+        cache.emotion, cache.context, cache.decoder)
+    start = 0 if cache is None else cache.length
+    hidden_emo = encode_emotion_from_matrix(vnrc, params, config, emotion, start)
+    hidden_context = encode_context(example, params, config, context, start)
+    decoded = decode(fuse(hidden_emo, hidden_context, config.intensity), params, config, decoder)
+    if cache is not None:
+        cache.length += vnrc.shape[0]
+    return decoded
 
 
 def forward(
     example: EncodedExample, params: ModelParams, config: ModelConfig, vnrc: np.ndarray
 ) -> ForwardState:
-    """The one path from inputs to head logits, shared by training, generation and gradcheck."""
-    hidden_emo = encode_emotion_from_matrix(vnrc, params, config)
-    hidden_context = encode_context(example, params, config)
-    decoded = decode(fuse(hidden_emo, hidden_context, config.intensity), params, config)
+    """The path from inputs to head logits, shared by training and gradcheck."""
+    decoded = _decoded(example, params, config, vnrc)
     tag_row = nm.slice_rows(decoded, example.tag_position, example.tag_position + 1)
     return ForwardState(
         lm_logits=nm.matmul(decoded, params.token_embedding, transpose_b=True),
         emotion_logits=nm.matmul(tag_row, params.emotion_head_weight),
     )
+
+
+def next_token_logits(
+    example: EncodedExample, params: ModelParams, config: ModelConfig, vnrc: np.ndarray,
+    cache: DecodeCache,
+) -> np.ndarray:
+    """LM logits at the last of the positions that ``example`` and ``vnrc`` append to ``cache``.
+
+    Only that row goes through the LM head, and the emotion head is not
+    computed: this is the decoding step, run under ``no_grad``.
+    """
+    decoded = _decoded(example, params, config, vnrc, cache)
+    last = decoded.data.shape[0]
+    return nm.matmul(nm.slice_rows(decoded, last - 1, last), params.token_embedding, transpose_b=True).data[0]
 
 
 def emotion_head(state: ForwardState, example: EncodedExample) -> Tensor:

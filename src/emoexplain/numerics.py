@@ -257,40 +257,46 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """Causal-masked scaled dot-product attention over ``n_heads`` heads.
 
-    Position p attends to positions 0..p only; inputs and output are
-    (seq_len, dim) with dim divisible by n_heads.
+    k and v hold positions 0..n-1 and q holds the last m <= n of them, so the
+    query row for position p attends to positions 0..p only.  Inputs and
+    output are (rows, dim) with dim divisible by n_heads.
     """
-    if not (q.data.shape == k.data.shape == v.data.shape):
+    if not (k.data.shape == v.data.shape and q.data.shape[1:] == k.data.shape[1:]
+            and q.data.shape[0] <= k.data.shape[0]):
         raise ValueError(f"attention shape mismatch: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
-    length, dim = q.data.shape
+    m, dim = q.data.shape
+    n = k.data.shape[0]
     if dim % n_heads:
         raise ValueError(f"dim {dim} not divisible by {n_heads} heads")
     dk = dim // n_heads
     scale = 1.0 / math.sqrt(dk)
 
     def split(x):
-        return x.reshape(length, n_heads, dk).transpose(1, 0, 2)
+        return x.reshape(x.shape[0], n_heads, dk).transpose(1, 0, 2)
+
+    def merge(x):
+        return x.transpose(1, 0, 2).reshape(x.shape[1], dim)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scores = (qh @ kh.transpose(0, 2, 1)) * scale
-    causal = np.tril(np.ones((length, length), dtype=bool))
+    causal = np.tril(np.ones((m, n), dtype=bool), k=n - m)
     scores = np.where(causal, scores, -np.inf)
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     att = e / e.sum(axis=-1, keepdims=True)
-    out = (att @ vh).transpose(1, 0, 2).reshape(length, dim)
+    out = merge(att @ vh)
 
     def backward_fn(g):
-        gh = g.reshape(length, n_heads, dk).transpose(1, 0, 2)
+        gh = split(g)
         if v.requires_grad:
-            _accumulate(v, (att.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(length, dim))
+            _accumulate(v, merge(att.transpose(0, 2, 1) @ gh))
         if q.requires_grad or k.requires_grad:
             datt = gh @ vh.transpose(0, 2, 1)
             ds = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
             if q.requires_grad:
-                _accumulate(q, ((ds @ kh) * scale).transpose(1, 0, 2).reshape(length, dim))
+                _accumulate(q, merge((ds @ kh) * scale))
             if k.requires_grad:
-                _accumulate(k, ((ds.transpose(0, 2, 1) @ qh) * scale).transpose(1, 0, 2).reshape(length, dim))
+                _accumulate(k, merge((ds.transpose(0, 2, 1) @ qh) * scale))
 
     return _result(out, (q, k, v), backward_fn)
 

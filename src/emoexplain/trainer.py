@@ -41,6 +41,10 @@ class EpochStats:
     valid_lm: float
     valid_emo: float
     valid_total: float
+    # Over the epoch's optimizer steps: the mean global gradient norm before
+    # clipping, and the share of steps whose norm exceeded the clip threshold.
+    grad_norm_mean: float
+    clip_rate: float
 
 
 @dataclass
@@ -61,6 +65,7 @@ class TrainHistory:
                 {
                     "train_lm": e.train_lm, "train_emo": e.train_emo, "train_total": e.train_total,
                     "valid_lm": e.valid_lm, "valid_emo": e.valid_emo, "valid_total": e.valid_total,
+                    "grad_norm_mean": e.grad_norm_mean, "clip_rate": e.clip_rate,
                 }
                 for e in self.epochs
             ],
@@ -128,6 +133,7 @@ def train(
     for epoch in range(train_config.max_epochs):
         order = rng.permutation(n)
         lm_sum = emo_sum = 0.0
+        norms = []
         for batch_index, start in enumerate(range(0, n, train_config.batch_size)):
             batch = [prepared_train[i] for i in order[start:start + train_config.batch_size]]
             try:
@@ -138,7 +144,7 @@ def train(
                     emo_sum += emo.item()
                     combined = loss if combined is None else nm.add(combined, loss)
                 nm.backward(nm.scalar_mul(combined, 1.0 / len(batch)))
-                nm.sgd_step(all_params, train_config.learning_rate, train_config.clip)
+                norms.append(nm.sgd_step(all_params, train_config.learning_rate, train_config.clip))
             except FloatingPointError as err:
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}: {err}") from err
@@ -152,6 +158,8 @@ def train(
             valid_lm=valid_lm,
             valid_emo=valid_emo,
             valid_total=valid_total,
+            grad_norm_mean=sum(norms) / len(norms),
+            clip_rate=sum(norm > train_config.clip for norm in norms) / len(norms),
         ))
         if valid_total < best_val:
             best_val = valid_total

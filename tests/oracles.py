@@ -1,13 +1,21 @@
-"""Independent brute-force oracles for the evaluation metrics.
+"""Independent brute-force oracles for the evaluation metrics and for decoding.
 
-These deliberately share no code with emoexplain.metrics: n-grams are
-enumerated with plain dicts and loops so the two implementations can only
-agree by computing the same quantity.
+The metric oracles deliberately share no code with emoexplain.metrics: n-grams
+are enumerated with plain dicts and loops so the two implementations can only
+agree by computing the same quantity.  ``generate_oracle`` is greedy decoding
+without a cache: every step runs ``model.forward`` over all max_len positions.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from emoexplain import numerics as nm
+from emoexplain.corpus import BOS, EOS, PAD, EncodedExample, tokenize
+from emoexplain.lexicon import category_index
+from emoexplain.model import emotion_input_matrix, forward
 
 
 def ngram_list(tokens, n):
@@ -116,3 +124,31 @@ def feature_sets_oracle(pairs):
     for _, _, features in pairs:
         universe.update(features)
     return [set(f for f in universe if f in hyp) for _, hyp, _ in pairs]
+
+
+def generate_oracle(params, config, vocab, lex, query):
+    """(tokens, logits) of full-recompute greedy decoding.
+
+    ``logits`` holds, for each step, the LM logits row the step's argmax
+    reads, before <pad> and <bos> are masked out.
+    """
+    feature_ids = [vocab.token_id(tok) for feat in query.features for tok in tokenize(feat)]
+    prefix = [vocab.user_to_id[query.user], vocab.item_to_id[query.item], *feature_ids,
+              vocab.emotion_token_id(query.emotion)]
+    prefix_len = len(prefix)
+    generated, logits = [], []
+    with nm.no_grad():
+        while len(generated) < query.max_tokens and prefix_len + 1 + len(generated) < config.max_len:
+            ids = prefix + [BOS] + generated
+            ids.extend([PAD] * (config.max_len - len(ids)))
+            example = EncodedExample(context_ids=tuple(ids), emotion_target=category_index(query.emotion),
+                                     prefix_len=prefix_len, text_len=len(generated))
+            vnrc = emotion_input_matrix(example, vocab, lex, config.mask_emotion_tag)
+            row = forward(example, params, config, vnrc).lm_logits.data[prefix_len + len(generated)]
+            logits.append(row.copy())
+            row[[PAD, BOS]] = -np.inf
+            next_id = int(np.argmax(row))
+            if next_id == EOS:
+                break
+            generated.append(next_id)
+    return [vocab.id_to_token[i] for i in generated], logits

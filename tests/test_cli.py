@@ -311,6 +311,27 @@ def test_config_value_error_names_path_and_line(tmp_path, corpus_file, capsys):
     assert f"{cfg}: line 2:" in capsys.readouterr().err
 
 
+def test_negative_seed_flag_exits_2_naming_key(tmp_path, corpus_file, capsys):
+    code = main([
+        "prepare", "--records", str(corpus_file), "--lexicon", str(FIXTURE_LEXICON_PATH),
+        "--out", str(tmp_path / "out"), "--seed", "-1",
+    ])
+    assert code == 2
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_in_config_exits_2_naming_path(tmp_path, corpus_file, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("vocab_cap=17\nseed=-3\n", encoding="utf-8")
+    code = main([
+        "prepare", "--config", str(cfg), "--records", str(corpus_file),
+        "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert f"{cfg}: seed must be a non-negative integer, got -3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["evaluate", "audit"])
 @pytest.mark.parametrize("bad_row", ["[1, 2]", '{"user": "u", "item": "i", "explanation": 5}'])
 def test_malformed_generated_row_exits_2(tmp_path, prepared_dir, generated_dir, capsys, command, bad_row):

@@ -2,8 +2,9 @@
 
 Each property drives ``cli.main`` with arbitrary content in one input file: a
 ``generated.jsonl`` (through ``evaluate`` and ``audit``), a ``--config`` file,
-or the ``vocab.json`` beside a checkpoint.  Whatever the content, the command
-exits 0 or 2, no exception escapes, and an exit-2 message names the file.
+the ``vocab.json`` beside a checkpoint, or the records or lexicon file of
+``prepare``.  Whatever the content, the command exits 0 or 2, no exception
+escapes, and an exit-2 message names the file.
 """
 
 from __future__ import annotations
@@ -129,3 +130,44 @@ def test_checkpoint_vocab_fuzz(workspace, content):
     path.write_text(content, encoding="utf-8")
     _run(["generate", "--data", workspace / "data", "--checkpoint", ckpt / "model.emot",
           "--lexicon", FIXTURE_LEXICON_PATH, "--out", workspace / "out-generate", "--max-tokens", "3"], path)
+
+
+def _record_lines():
+    """Arbitrary bytes, or lines of arbitrary JSON that may form records."""
+    record_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["user", "item", "features", "explanation", "emotion"]), inner, max_size=5),
+        max_leaves=10,
+    )
+    return st.one_of(
+        st.binary(),
+        st.lists(record_values.map(json.dumps), min_size=1, max_size=6).map("\n".join).map(str.encode),
+    )
+
+
+@FUZZ
+@given(content=_record_lines())
+@example(content=b"[" * 100_000)
+@example(content=b"1" * 5000)
+@example(content=b'{"user": "u"}\n\xff\n')
+def test_records_file_fuzz(workspace, content):
+    path = workspace / "fuzz-records.jsonl"
+    path.write_bytes(content)
+    _run(["prepare", "--records", path, "--lexicon", FIXTURE_LEXICON_PATH,
+          "--out", workspace / "out-prepare-records", "--seed", "5"], path)
+
+
+@FUZZ
+@given(content=st.one_of(
+    st.binary(),
+    st.lists(st.tuples(st.text(max_size=6), st.sampled_from(["joy", "anger", "fear", "trust"]) | st.text(max_size=6),
+                       st.floats().map(str) | st.text(max_size=4)).map("\t".join),
+             max_size=6).map("\n".join).map(str.encode),
+))
+@example(content=b"good\tjoy\t0.5\n\xc3\n")
+def test_lexicon_file_fuzz(workspace, content):
+    path = workspace / "fuzz-lexicon.tsv"
+    path.write_bytes(content)
+    _run(["prepare", "--records", workspace / "records.jsonl", "--lexicon", path,
+          "--out", workspace / "out-prepare-lexicon", "--seed", "5"], path)

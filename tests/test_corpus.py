@@ -87,6 +87,24 @@ def test_load_records_error_carries_line_number(tmp_path):
     assert "features" in str(err.value)
 
 
+@pytest.mark.parametrize("bad_line", ["[" * 100_000, "1" * 5000], ids=["deep_nesting", "long_integer"])
+def test_load_records_hostile_json_names_path_and_line(tmp_path, bad_line):
+    path = tmp_path / "r.jsonl"
+    path.write_text('{"user": "u1", "item": "i1", "features": ["lobby"], "explanation": "nice bar"}\n'
+                    + bad_line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}: line 2: invalid JSON"):
+        load_records(path)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_load_records_non_utf8_names_path_and_line(tmp_path, newline):
+    path = tmp_path / "r.jsonl"
+    good = b'{"user": "u1", "item": "i1", "features": ["lobby"], "explanation": "nice bar"}'
+    path.write_bytes(good + newline + good + newline + b'{"user": "\xff"}' + newline)
+    with pytest.raises(ValueError, match=f"^{path}: line 3: not UTF-8 text"):
+        load_records(path)
+
+
 def test_load_records_empty_file_errors(tmp_path):
     path = tmp_path / "r.jsonl"
     path.write_text("", encoding="utf-8")

@@ -1,8 +1,16 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from emoexplain import generator
+from emoexplain.corpus import tokenize
 from emoexplain.generator import GeneratedText, GenerationQuery, batch_generate, generate
+from emoexplain.model import ModelParams
+
+from .oracles import generate_oracle
 
 
 @pytest.fixture(scope="module")
@@ -114,3 +122,59 @@ def test_generate_stays_within_length_budget(trained, lex):
     tokens = generate(params, config, vocab, lex,
                       GenerationQuery(rec.user, rec.item, rec.features, rec.emotion, max_tokens=500))
     assert len(tokens) <= config.max_len - 4  # prefix of >= 3 plus <bos>
+
+
+def _generate_with_logits(monkeypatch, params, config, vocab, lex, query):
+    """``generate``'s tokens and the logits row each of its steps read."""
+    rows = []
+    step = generator.next_token_logits
+
+    def recorded(*args):
+        out = step(*args)
+        rows.append(out.copy())
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(generator, "next_token_logits", recorded)
+        tokens = generate(params, config, vocab, lex, query)
+    return tokens, rows
+
+
+def _assert_matches_oracle(monkeypatch, params, config, vocab, lex, query):
+    tokens, rows = _generate_with_logits(monkeypatch, params, config, vocab, lex, query)
+    oracle_tokens, oracle_rows = generate_oracle(params, config, vocab, lex, query)
+    assert tokens == oracle_tokens
+    assert len(rows) == len(oracle_rows)
+    for row, oracle_row in zip(rows, oracle_rows):
+        assert np.max(np.abs(row - oracle_row)) <= 1e-9
+    return tokens
+
+
+def test_cached_decoding_matches_full_recompute_on_overfit_records(monkeypatch, trained, lex):
+    params, config, vocab, split = trained
+    for rec in split.train + split.valid + split.test:
+        query = GenerationQuery(rec.user, rec.item, rec.features, rec.emotion)
+        _assert_matches_oracle(monkeypatch, params, config, vocab, lex, query)
+
+
+def _stop_reason(config, query, tokens) -> str:
+    prefix_len = 3 + sum(len(tokenize(f)) for f in query.features)  # user, item, features, tag
+    budget = config.max_len - prefix_len - 1
+    if len(tokens) < min(query.max_tokens, budget):
+        return "eos"
+    return "max_tokens" if len(tokens) == query.max_tokens else "length_budget"
+
+
+def test_cached_decoding_matches_full_recompute_on_seeded_weights(monkeypatch, trained, lex):
+    _, config, vocab, split = trained
+    reasons = set()
+    for mask in (False, True):
+        masked = replace(config, mask_emotion_tag=mask)
+        for seed in range(3):
+            params = ModelParams(masked, seed)
+            for rec in split.test[:3]:
+                for max_tokens in (4, 500):
+                    query = GenerationQuery(rec.user, rec.item, rec.features, rec.emotion, max_tokens=max_tokens)
+                    tokens = _assert_matches_oracle(monkeypatch, params, masked, vocab, lex, query)
+                    reasons.add((mask, _stop_reason(masked, query, tokens)))
+    assert {(True, "max_tokens"), (True, "length_budget"), (False, "max_tokens"), (False, "length_budget")} <= reasons

@@ -88,6 +88,13 @@ def test_load_errors_carry_line_numbers(tmp_path, bad_line, message):
     assert message in str(err.value)
 
 
+def test_load_non_utf8_names_path_and_line(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_bytes(b"ok\tjoy\t0.5\n# comment\ncaf\xe9\tjoy\t0.5\n")
+    with pytest.raises(ValueError, match=f"^{path}: line 3: not UTF-8 text"):
+        load_lexicon(path)
+
+
 def test_classify_single_lucky_is_happy(lex):
     # mean happy score 0.721 >= 0.2
     assert classify_explanation(lex, ["lucky"]) == "happy"

@@ -116,6 +116,32 @@ def test_attention_causal_mask():
     assert not np.array_equal(out_a[4:], out_b[4:])
 
 
+@pytest.mark.parametrize("m,n,heads", [(1, 1, 1), (1, 6, 2), (3, 6, 2), (5, 9, 3), (1, 32, 2), (7, 8, 4)])
+def test_attention_last_rows_equal_full_attention(m, n, heads):
+    rng = np.random.default_rng(m * 100 + n)
+    q, k, v = (rng.normal(size=(n, 12)) for _ in range(3))
+    full = nm.attention(Tensor(q), Tensor(k), Tensor(v), n_heads=heads).data
+    last = nm.attention(Tensor(q[n - m:]), Tensor(k), Tensor(v), n_heads=heads).data
+    assert last.shape == (m, 12)
+    assert np.max(np.abs(last - full[n - m:])) <= 1e-12
+
+
+def test_attention_last_rows_gradcheck():
+    rng = np.random.default_rng(11)
+    q = Parameter(rng.normal(size=(3, 4)), "q")
+    k = Parameter(rng.normal(size=(5, 4)), "k")
+    v = Parameter(rng.normal(size=(5, 4)), "v")
+    w = Tensor(rng.normal(size=(3, 4)))
+    err = nm.grad_check(lambda: nm.tensor_sum(nm.matmul(nm.attention(q, k, v, n_heads=2), w, transpose_b=True)),
+                        [q, k, v], n_samples=60)
+    assert err < 1e-3
+
+
+def test_attention_rejects_more_query_rows_than_keys():
+    with pytest.raises(ValueError, match="attention shape mismatch"):
+        nm.attention(Tensor(np.ones((4, 6))), Tensor(np.ones((3, 6))), Tensor(np.ones((3, 6))), n_heads=2)
+
+
 def test_attention_rejects_indivisible_heads():
     x = Tensor(np.ones((4, 6)))
     with pytest.raises(ValueError, match="not divisible"):

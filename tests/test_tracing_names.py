@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from emoexplain import model
+from emoexplain import generator, model
 from emoexplain import numerics as nm
 from emoexplain.corpus import Record, encode_example
 from emoexplain.generator import GenerationQuery, generate
@@ -72,3 +72,22 @@ def test_training_and_generation_reach_every_traced_model_function(tracing, tiny
         tracer.uninstall()
     expected = {f"model.{fn}" for fn in tracing.MODEL_FUNCTIONS}
     assert expected <= tracer.fired(), expected - tracer.fired()
+
+
+@pytest.mark.parametrize("max_tokens", [0, 1, 3, 50])
+def test_generate_decodes_once_per_step_and_feeds_each_position_once(tracing, tiny, tiny_vocab, lex, max_tokens):
+    config, params, _, _ = tiny
+    query = GenerationQuery("u000", "i001", ("lobby",), "happy", max_tokens=max_tokens)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tokens = generator.generate(params, config, tiny_vocab, lex, query)  # the wrapped function
+    finally:
+        tracer.uninstall()
+    prefix_len = 4  # user, item, "lobby", tag
+    budget = min(max_tokens, config.max_len - prefix_len - 1)
+    steps = len(tokens) + (len(tokens) < budget)  # a step that emits <eos> emits no token
+    decode_id = tracer.names.index("model.decode")
+    assert sum(1 for i in tracer.name_id if i == decode_id) == steps
+    # The first step feeds the prefix and <bos>, each later step one position, to each of the three stacks.
+    assert tracer.rows[tracing.QUERY] == (3 * (prefix_len + steps) if steps else 0)

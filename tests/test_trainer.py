@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from emoexplain import numerics as nm
 from emoexplain.corpus import build_vocabulary, generate_synthetic_corpus, split_dataset
 from emoexplain.fixtures import pool_corpus_spec
 from emoexplain.model import config_for_vocab
@@ -46,6 +47,30 @@ def test_train_is_deterministic(small_split, small_vocab, lex):
     assert hist_a == hist_b
     for pa, pb in zip(params_a.all(), params_b.all()):
         assert np.array_equal(pa.data, pb.data)
+
+
+@pytest.mark.parametrize("clip", [1e-6, 0.5, 1e6])
+def test_history_records_pre_clip_norm_and_clip_rate(monkeypatch, small_split, small_vocab, lex, clip):
+    norms = []
+    step = nm.sgd_step
+
+    def recorded(*args, **kwargs):
+        norms.append(step(*args, **kwargs))
+        return norms[-1]
+
+    monkeypatch.setattr(nm, "sgd_step", recorded)
+    tc = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=21, clip=clip)
+    _, history = train(_config(small_vocab), tc, small_split, lex, small_vocab)
+    per_epoch = -(-len(small_split.train) // tc.batch_size)
+    assert len(norms) == per_epoch * len(history.epochs)
+    for e, stats in enumerate(history.epochs):
+        epoch_norms = norms[e * per_epoch:(e + 1) * per_epoch]
+        assert stats.grad_norm_mean == sum(epoch_norms) / per_epoch
+        assert stats.clip_rate == sum(n > clip for n in epoch_norms) / per_epoch
+        assert history.to_dict()["epochs"][e]["clip_rate"] == stats.clip_rate
+        assert history.to_dict()["epochs"][e]["grad_norm_mean"] == stats.grad_norm_mean
+    if clip != 0.5:
+        assert {stats.clip_rate for stats in history.epochs} == {1.0 if clip < 1 else 0.0}
 
 
 def test_train_records_emotion_loss_even_when_disabled(small_split, small_vocab, lex):
