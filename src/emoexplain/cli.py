@@ -85,6 +85,13 @@ KEY_TYPES = {
 }
 
 
+# Integer keys with a lower bound: counts may be 0, sizes may not.
+LOWER_BOUNDS = {
+    "seed": 0, "max_tokens": 0,
+    **dict.fromkeys(("max_len", "embed_dim", "ffn_dim", "encoder_layers", "decoder_layers", "attention_heads"), 1),
+}
+
+
 BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -130,9 +137,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
     resolved.update(file_values)
     resolved.update(flags)
     resolved["profile"] = profile
-    if resolved["seed"] < 0:
-        where = "--seed" if "seed" in flags else f"{args.config}: seed"
-        raise ValueError(f"{where} must be a non-negative integer, got {resolved['seed']}")
+    for key, low in LOWER_BOUNDS.items():
+        if resolved[key] < low:
+            where = f"--{key.replace('_', '-')}" if key in flags else f"{args.config}: {key}"
+            kind = "non-negative" if low == 0 else "positive"
+            raise ValueError(f"{where} must be a {kind} integer, got {resolved[key]}")
     return resolved
 
 

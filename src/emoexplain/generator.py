@@ -30,6 +30,8 @@ class GenerationQuery:
     def __post_init__(self):
         if not self.features:
             raise ValueError("a generation query needs at least one feature")
+        if self.max_tokens < 0:
+            raise ValueError(f"max_tokens must be a non-negative integer, got {self.max_tokens}")
 
 
 @dataclass(frozen=True)

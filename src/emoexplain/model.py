@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .corpus import UNK, EncodedExample, Vocabulary
+from .corpus import PAD, UNK, EncodedExample, Vocabulary
 from .lexicon import Lexicon, NEUTRAL_VECTOR, word_emotion
 from .numerics import Parameter, Tensor
 
@@ -44,6 +44,10 @@ class ModelConfig:
     mask_emotion_tag: bool = False
 
     def __post_init__(self):
+        for name in ("n_tokens", "n_users", "n_items", "max_len", "embed_dim", "ffn_dim",
+                     "encoder_layers", "decoder_layers", "attention_heads"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
         if self.embed_dim % self.attention_heads:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by {self.attention_heads} heads")
         if self.intensity < 0 or self.c1 < 0 or self.c2 < 0:
@@ -170,10 +174,47 @@ class ModelParams:
 
 @dataclass
 class ForwardState:
-    """Head logits for one example: LM logits at every position, emotion logits at the tag."""
+    """Head logits: LM logits at every position, emotion logits at the tag.
+
+    For one example these are (max_len, n_tokens) and (1, 6); for a ``Batch``
+    they carry its leading batch axis, (B, L, n_tokens) and (B, 1, 6).
+    """
 
     lm_logits: Tensor
     emotion_logits: Tensor
+
+
+@dataclass(frozen=True)
+class Batch:
+    """Encoded examples stacked for one pass: ``EncodedExample``'s fields with a leading batch axis.
+
+    ``context_ids`` is (B, L), cut to the batch's longest sequence (its
+    largest <eos> position + 1); the other fields are (B,) arrays.  All three
+    stacks are causal, so the positions cut off never reach a supervised or
+    tagged row.
+    """
+
+    context_ids: np.ndarray
+    emotion_target: np.ndarray
+    tag_position: np.ndarray
+    bos_position: np.ndarray
+    eos_position: np.ndarray
+
+
+def make_batch(prepared: list[tuple[EncodedExample, np.ndarray]]) -> tuple[Batch, np.ndarray]:
+    """A ``Batch`` and its (B, L, 6) emotion inputs from (example, emotion input matrix) pairs."""
+    if not prepared:
+        raise ValueError("a batch needs at least one example")
+    examples = [ex for ex, _ in prepared]
+    length = max(ex.eos_position for ex in examples) + 1
+    batch = Batch(
+        context_ids=np.array([ex.context_ids[:length] for ex in examples], dtype=np.int64),
+        emotion_target=np.array([ex.emotion_target for ex in examples]),
+        tag_position=np.array([ex.tag_position for ex in examples]),
+        bos_position=np.array([ex.bos_position for ex in examples]),
+        eos_position=np.array([ex.eos_position for ex in examples]),
+    )
+    return batch, np.stack([vnrc[:length] for _, vnrc in prepared])
 
 
 # One stack's keys and values: a (K, V) pair per layer, each with a row per position.
@@ -265,15 +306,19 @@ def encode_emotion_from_matrix(
     cache: StackCache | None = None, start: int = 0,
 ) -> Tensor:
     """The emotion encoder over all max_len rows of ``vnrc``, or with a ``cache``
-    over rows for the positions ``start`` onward."""
-    if vnrc.ndim != 2 or vnrc.shape[1] != N_EMOTIONS or (cache is None and vnrc.shape[0] != config.max_len):
+    over rows for the positions ``start`` onward.
+
+    A (B, L, 6) ``vnrc`` is a batch's stack, L <= max_len rows per example.
+    """
+    if (vnrc.ndim not in (2, 3) or vnrc.shape[-1] != N_EMOTIONS or not 0 < vnrc.shape[-2] <= config.max_len
+            or (cache is None and vnrc.ndim == 2 and vnrc.shape[0] != config.max_len)):
         raise ValueError(f"emotion input shape {vnrc.shape}, expected ({config.max_len}, {N_EMOTIONS})")
-    x = nm.add(emotion_embed(params, Tensor(vnrc)), _positions(params, config, start, vnrc.shape[0]))
+    x = nm.add(emotion_embed(params, Tensor(vnrc)), _positions(params, config, start, vnrc.shape[-2]))
     return _encoder_stack(x, params.emotion_encoder, config.attention_heads, cache)
 
 
 def encode_context(
-    example: EncodedExample, params: ModelParams, config: ModelConfig,
+    example: EncodedExample | Batch, params: ModelParams, config: ModelConfig,
     cache: StackCache | None = None, start: int = 0,
 ) -> Tensor:
     """The context encoder over all max_len ids of ``example``, or with a ``cache``
@@ -281,22 +326,24 @@ def encode_context(
 
     Positions 0 and 1 index the user and item tables, so a call with a
     ``start`` past 0 must start at a token position (2 or later);
-    ``example.tag_position`` is absolute either way.
+    ``example.tag_position`` is absolute either way.  A ``Batch`` is encoded
+    example by example as one stack.
     """
-    ids = list(example.context_ids)
-    if cache is None and len(ids) != config.max_len:
-        raise ValueError(f"context length {len(ids)} does not match max_len {config.max_len}")
-    tag = example.tag_position - start
-    if config.mask_emotion_tag and 0 <= tag < len(ids):
-        ids[tag] = UNK
+    ids = np.asarray(example.context_ids, dtype=np.int64)
+    length = ids.shape[-1]
+    if cache is None and ids.ndim == 1 and length != config.max_len:
+        raise ValueError(f"context length {length} does not match max_len {config.max_len}")
+    if config.mask_emotion_tag:
+        tag = np.expand_dims(example.tag_position, -1)
+        ids = np.where(np.arange(start, start + length) == tag, UNK, ids)
     if start == 0:
-        user_vec = nm.embedding(params.user_embedding, [ids[0]])
-        item_vec = nm.embedding(params.item_embedding, [ids[1]])
-        token_vecs = nm.embedding(params.token_embedding, ids[2:])
-        x = nm.concat([user_vec, item_vec, token_vecs], axis=0)
+        user_vec = nm.embedding(params.user_embedding, ids[..., :1])
+        item_vec = nm.embedding(params.item_embedding, ids[..., 1:2])
+        token_vecs = nm.embedding(params.token_embedding, ids[..., 2:])
+        x = nm.concat([user_vec, item_vec, token_vecs], axis=-2)
     else:
         x = nm.embedding(params.token_embedding, ids)
-    x = nm.add(x, _positions(params, config, start, len(ids)))
+    x = nm.add(x, _positions(params, config, start, length))
     return _encoder_stack(x, params.context_encoder, config.attention_heads, cache)
 
 
@@ -311,14 +358,15 @@ def decode(hidden_merge: Tensor, params: ModelParams, config: ModelConfig, cache
 
 
 def _decoded(
-    example: EncodedExample, params: ModelParams, config: ModelConfig, vnrc: np.ndarray,
+    example: EncodedExample | Batch, params: ModelParams, config: ModelConfig, vnrc: np.ndarray,
     cache: DecodeCache | None = None,
 ) -> Tensor:
     """Decoder states of the positions in ``example`` and ``vnrc``.
 
     The one composition of the two encoders, fusion and decoder: over all
     max_len positions without a cache, or over the positions that follow
-    those already in ``cache``, which then holds them too.
+    those already in ``cache``, which then holds them too.  A ``Batch`` runs
+    the same layers on (B, L, d) stacks.
     """
     emotion, context, decoder = (None, None, None) if cache is None else (
         cache.emotion, cache.context, cache.decoder)
@@ -332,11 +380,11 @@ def _decoded(
 
 
 def forward(
-    example: EncodedExample, params: ModelParams, config: ModelConfig, vnrc: np.ndarray
+    example: EncodedExample | Batch, params: ModelParams, config: ModelConfig, vnrc: np.ndarray
 ) -> ForwardState:
     """The path from inputs to head logits, shared by training and gradcheck."""
     decoded = _decoded(example, params, config, vnrc)
-    tag_row = nm.slice_rows(decoded, example.tag_position, example.tag_position + 1)
+    tag_row = nm.gather_rows(decoded, np.expand_dims(example.tag_position, -1))
     return ForwardState(
         lm_logits=nm.matmul(decoded, params.token_embedding, transpose_b=True),
         emotion_logits=nm.matmul(tag_row, params.emotion_head_weight),
@@ -357,28 +405,39 @@ def next_token_logits(
     return nm.matmul(nm.slice_rows(decoded, last - 1, last), params.token_embedding, transpose_b=True).data[0]
 
 
-def emotion_head(state: ForwardState, example: EncodedExample) -> Tensor:
-    """Cross-entropy of the tag-position logits against the record's emotion."""
-    return nm.cross_entropy(state.emotion_logits, [example.emotion_target])
+def emotion_head(state: ForwardState, example: EncodedExample | Batch) -> Tensor:
+    """Cross-entropy of the tag-position logits against the record's emotion (per example for a batch)."""
+    targets = np.reshape(example.emotion_target, state.emotion_logits.data.shape[:-1])
+    return nm.cross_entropy(state.emotion_logits, targets)
 
 
-def lm_head(state: ForwardState, example: EncodedExample) -> Tensor:
-    """Mean next-token cross-entropy over the supervised positions.
+def lm_head(state: ForwardState, example: EncodedExample | Batch) -> Tensor:
+    """Mean next-token cross-entropy over the supervised positions (per example for a batch).
 
     Supervision runs from the <bos> position through the last explanation
     token, i.e. targets e_1 .. e_E and then <eos>; pad positions never count.
     """
-    logits = nm.slice_rows(state.lm_logits, example.bos_position, example.eos_position)
-    targets = list(example.context_ids[example.bos_position + 1: example.eos_position + 1])
-    return nm.cross_entropy(logits, targets)
+    ids = np.asarray(example.context_ids)
+    positions = np.arange(ids.shape[-1])
+    supervised = ((positions >= np.expand_dims(example.bos_position, -1))
+                  & (positions < np.expand_dims(example.eos_position, -1)))
+    # Row p predicts the id at p + 1; the last row has no successor and is never supervised.
+    targets = np.concatenate([ids[..., 1:], np.full((*ids.shape[:-1], 1), PAD)], axis=-1)
+    return nm.cross_entropy(state.lm_logits, targets, supervised)
 
 
 def total_loss(
-    example: EncodedExample, params: ModelParams, config: ModelConfig, vnrc: np.ndarray
+    example: EncodedExample | Batch, params: ModelParams, config: ModelConfig, vnrc: np.ndarray
 ):
-    """(c1 * L_lm + c2 * L_emo, L_lm, L_emo) for one example."""
+    """(c1 * L_lm + c2 * L_emo, L_lm, L_emo) for one example.
+
+    For a ``Batch``, L_lm and L_emo are (B,) per-example losses and the
+    combined loss is the mean of c1 * L_lm + c2 * L_emo over the batch.
+    """
     state = forward(example, params, config, vnrc)
     lm_loss = lm_head(state, example)
     emo_loss = emotion_head(state, example)
     combined = nm.add(nm.scalar_mul(lm_loss, config.c1), nm.scalar_mul(emo_loss, config.c2))
+    if combined.data.ndim:
+        combined = nm.scalar_mul(nm.tensor_sum(combined), 1.0 / combined.data.shape[0])
     return combined, lm_loss, emo_loss

@@ -83,9 +83,12 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-def _result(data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+def _result(op: str, data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=track)
+    try:
+        out = Tensor(data, requires_grad=track)
+    except FloatingPointError:
+        raise FloatingPointError(f"non-finite values in the output of {op}") from None
     if track:
         out._parents = parents
         out._backward_fn = backward_fn
@@ -106,26 +109,24 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul expects 2-d operands, got {a.data.shape} and {b.data.shape}")
+    """``a @ b`` (or ``a @ b.T``) for a 2-d ``b``; ``a`` is (n, k) or a stack (B, n, k)."""
+    if a.data.ndim not in (2, 3) or b.data.ndim != 2:
+        raise ValueError(f"matmul expects a 2-d or 3-d left and a 2-d right operand, "
+                         f"got {a.data.shape} and {b.data.shape}")
     inner_b = b.data.shape[1] if transpose_b else b.data.shape[0]
-    if a.data.shape[1] != inner_b:
+    if a.data.shape[-1] != inner_b:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape} (transpose_b={transpose_b})")
     out_data = a.data @ (b.data.T if transpose_b else b.data)
 
     def backward_fn(g):
-        if transpose_b:
-            if a.requires_grad:
-                _accumulate(a, g @ b.data)
-            if b.requires_grad:
-                _accumulate(b, g.T @ a.data)
-        else:
-            if a.requires_grad:
-                _accumulate(a, g @ b.data.T)
-            if b.requires_grad:
-                _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data if transpose_b else g @ b.data.T)
+        if b.requires_grad:
+            # The sum over the batch of each slice's weight gradient.
+            for a_slice, g_slice in zip(a.data.reshape(-1, *a.data.shape[-2:]), g.reshape(-1, *g.shape[-2:])):
+                _accumulate(b, g_slice.T @ a_slice if transpose_b else a_slice.T @ g_slice)
 
-    return _result(out_data, (a, b), backward_fn)
+    return _result("matmul", out_data, (a, b), backward_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -140,7 +141,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.data.shape))
 
-    return _result(out_data, (a, b), backward_fn)
+    return _result("add", out_data, (a, b), backward_fn)
 
 
 def scalar_mul(a: Tensor, s: float) -> Tensor:
@@ -150,7 +151,7 @@ def scalar_mul(a: Tensor, s: float) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g * s)
 
-    return _result(a.data * s, (a,), backward_fn)
+    return _result("scalar_mul", a.data * s, (a,), backward_fn)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -160,7 +161,7 @@ def relu(a: Tensor) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g * mask)
 
-    return _result(np.where(mask, a.data, 0.0), (a,), backward_fn)
+    return _result("relu", np.where(mask, a.data, 0.0), (a,), backward_fn)
 
 
 def tensor_sum(a: Tensor) -> Tensor:
@@ -168,7 +169,7 @@ def tensor_sum(a: Tensor) -> Tensor:
         if a.requires_grad:
             _accumulate(a, np.full_like(a.data, float(g)))
 
-    return _result(a.data.sum(), (a,), backward_fn)
+    return _result("tensor_sum", a.data.sum(), (a,), backward_fn)
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -181,7 +182,7 @@ def softmax(a: Tensor) -> Tensor:
         if a.requires_grad:
             _accumulate(a, p * (g - (g * p).sum(axis=-1, keepdims=True)))
 
-    return _result(p, (a,), backward_fn)
+    return _result("softmax", p, (a,), backward_fn)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
@@ -197,23 +198,25 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
     xhat = centered * inv
 
     def backward_fn(g):
+        # gamma and beta are shared by the rows of every leading axis.
+        rows = g.reshape(-1, g.shape[-1])
         if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=0))
+            _accumulate(gamma, (rows * xhat.reshape(rows.shape)).sum(axis=0))
         if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=0))
+            _accumulate(beta, rows.sum(axis=0))
         if x.requires_grad:
             dxhat = g * gamma.data
             term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
             _accumulate(x, inv * term)
 
-    return _result(xhat * gamma.data + beta.data, (x, gamma, beta), backward_fn)
+    return _result("layer_norm", xhat * gamma.data + beta.data, (x, gamma, beta), backward_fn)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table`` (duplicate ids accumulate gradient)."""
+    """Gather rows of ``table`` for a 1-d or 2-d array of ids (duplicate ids accumulate gradient)."""
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError(f"embedding ids must be 1-d, got shape {idx.shape}")
+    if idx.ndim not in (1, 2):
+        raise ValueError(f"embedding ids must be 1-d or 2-d, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise ValueError(f"embedding id out of range for table of {table.data.shape[0]} rows")
 
@@ -223,7 +226,7 @@ def embedding(table: Tensor, ids) -> Tensor:
                 table.grad = np.zeros_like(table.data)
             np.add.at(table.grad, idx, g)
 
-    return _result(table.data[idx], (table,), backward_fn)
+    return _result("embedding", table.data[idx], (table,), backward_fn)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -238,7 +241,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
                 _accumulate(t, g[tuple(sl)])
             offset += size
 
-    return _result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward_fn)
+    return _result("concat", np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward_fn)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -251,7 +254,26 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
                 a.grad = np.zeros_like(a.data)
             a.grad[start:stop] += g
 
-    return _result(a.data[start:stop].copy(), (a,), backward_fn)
+    return _result("slice_rows", a.data[start:stop].copy(), (a,), backward_fn)
+
+
+def gather_rows(a: Tensor, rows) -> Tensor:
+    """Rows ``rows`` of an (n, d) ``a``, or per slice of a stack (B, n, d) with ``rows`` of shape (B, k)."""
+    idx = np.asarray(rows, dtype=np.int64)
+    if a.data.ndim not in (2, 3) or idx.shape[:-1] != a.data.shape[:-2] or idx.ndim != a.data.ndim - 1:
+        raise ValueError(f"gather_rows index shape {idx.shape} does not fit tensor shape {a.data.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[-2]):
+        raise ValueError(f"gather_rows row out of range for {a.data.shape[-2]} rows")
+    # One index array per leading axis, then the rows: (batch ids, rows) for a stack.
+    where = (*np.indices(idx.shape, sparse=True)[:-1], idx)
+
+    def backward_fn(g):
+        if a.requires_grad:
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            np.add.at(a.grad, where, g)
+
+    return _result("gather_rows", a.data[where], (a,), backward_fn)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
@@ -259,26 +281,29 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 
     k and v hold positions 0..n-1 and q holds the last m <= n of them, so the
     query row for position p attends to positions 0..p only.  Inputs and
-    output are (rows, dim) with dim divisible by n_heads.
+    output are (rows, dim), or stacks (B, rows, dim) attended slice by slice,
+    with dim divisible by n_heads.
     """
-    if not (k.data.shape == v.data.shape and q.data.shape[1:] == k.data.shape[1:]
-            and q.data.shape[0] <= k.data.shape[0]):
+    if not (k.data.shape == v.data.shape and q.data.ndim == k.data.ndim in (2, 3)
+            and q.data.shape[:-2] == k.data.shape[:-2] and q.data.shape[-1] == k.data.shape[-1]
+            and q.data.shape[-2] <= k.data.shape[-2]):
         raise ValueError(f"attention shape mismatch: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
-    m, dim = q.data.shape
-    n = k.data.shape[0]
+    m, dim = q.data.shape[-2:]
+    n = k.data.shape[-2]
     if dim % n_heads:
         raise ValueError(f"dim {dim} not divisible by {n_heads} heads")
     dk = dim // n_heads
     scale = 1.0 / math.sqrt(dk)
 
-    def split(x):
-        return x.reshape(x.shape[0], n_heads, dk).transpose(1, 0, 2)
+    def split(x):  # (..., rows, dim) -> (..., heads, rows, dk)
+        return x.reshape(*x.shape[:-1], n_heads, dk).swapaxes(-2, -3)
 
-    def merge(x):
-        return x.transpose(1, 0, 2).reshape(x.shape[1], dim)
+    def merge(x):  # (..., heads, rows, dk) -> (..., rows, dim)
+        x = x.swapaxes(-2, -3)
+        return x.reshape(*x.shape[:-2], dim)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = (qh @ kh.transpose(0, 2, 1)) * scale
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
     causal = np.tril(np.ones((m, n), dtype=bool), k=n - m)
     scores = np.where(causal, scores, -np.inf)
     shifted = scores - scores.max(axis=-1, keepdims=True)
@@ -289,40 +314,58 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     def backward_fn(g):
         gh = split(g)
         if v.requires_grad:
-            _accumulate(v, merge(att.transpose(0, 2, 1) @ gh))
+            _accumulate(v, merge(att.swapaxes(-1, -2) @ gh))
         if q.requires_grad or k.requires_grad:
-            datt = gh @ vh.transpose(0, 2, 1)
+            datt = gh @ vh.swapaxes(-1, -2)
             ds = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
             if q.requires_grad:
                 _accumulate(q, merge((ds @ kh) * scale))
             if k.requires_grad:
-                _accumulate(k, merge((ds.transpose(0, 2, 1) @ qh) * scale))
+                _accumulate(k, merge((ds.swapaxes(-1, -2) @ qh) * scale))
 
-    return _result(out, (q, k, v), backward_fn)
+    return _result("attention", out, (q, k, v), backward_fn)
 
 
-def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood of integer targets under row softmax."""
+def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
+    """Mean negative log-likelihood of integer targets under row softmax.
+
+    ``logits`` is (n, classes), or a stack (B, n, classes) reduced slice by
+    slice to a (B,) vector.  With a boolean ``mask`` shaped like ``targets``,
+    each mean runs over the rows it marks only.
+    """
     idx = np.asarray(targets, dtype=np.int64)
-    if logits.data.ndim != 2:
-        raise ValueError(f"cross_entropy expects (n, classes) logits, got {logits.data.shape}")
-    n, n_classes = logits.data.shape
-    if idx.shape != (n,):
-        raise ValueError(f"cross_entropy targets shape {idx.shape} does not match {n} logit rows")
+    if logits.data.ndim not in (2, 3):
+        raise ValueError(f"cross_entropy expects (n, classes) or (B, n, classes) logits, got {logits.data.shape}")
+    n, n_classes = logits.data.shape[-2:]
+    if idx.shape != logits.data.shape[:-1]:
+        raise ValueError(f"cross_entropy targets shape {idx.shape} does not match logits {logits.data.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= n_classes):
         raise ValueError(f"cross_entropy target out of range for {n_classes} classes")
     m = logits.data.max(axis=-1, keepdims=True)
     e = np.exp(logits.data - m)
-    lse = m[:, 0] + np.log(e.sum(axis=-1))
-    loss = (lse - logits.data[np.arange(n), idx]).mean()
+    lse = m[..., 0] + np.log(e.sum(axis=-1))
+    picked = (*np.indices(idx.shape, sparse=True), idx)  # each row's target entry
+    nll = lse - logits.data[picked]
+    if mask is None:
+        mask = np.ones(idx.shape, dtype=bool)
+        loss = nll.mean(axis=-1)
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != idx.shape or not mask.any(axis=-1).all():
+            raise ValueError(f"cross_entropy mask of shape {mask.shape} must mark a row in every slice")
+        # Each slice's marked rows, averaged as one (n_marked,) array would be.
+        loss = np.reshape([row[keep].mean() for row, keep in zip(nll.reshape(-1, n), mask.reshape(-1, n))],
+                          idx.shape[:-1])
+    counts = mask.sum(axis=-1)
 
     def backward_fn(g):
         if logits.requires_grad:
             p = e / e.sum(axis=-1, keepdims=True)
-            p[np.arange(n), idx] -= 1.0
-            _accumulate(logits, p * (float(g) / n))
+            p[picked] -= 1.0
+            row_scale = np.expand_dims(g / counts, -1) * mask
+            _accumulate(logits, p * row_scale[..., None])
 
-    return _result(loss, (logits,), backward_fn)
+    return _result("cross_entropy", loss, (logits,), backward_fn)
 
 
 # ---------------------------------------------------------------------------

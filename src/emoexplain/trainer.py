@@ -13,6 +13,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     emotion_input_matrix,
+    make_batch,
     total_loss,
 )
 
@@ -81,13 +82,14 @@ def _prepare(records, vocab: Vocabulary, lex: Lexicon, config: ModelConfig):
     return out
 
 
-def _mean_losses(params: ModelParams, prepared, config: ModelConfig) -> tuple[float, float, float]:
+def _mean_losses(params: ModelParams, prepared, config: ModelConfig, batch_size: int) -> tuple[float, float, float]:
     lm_sum = emo_sum = 0.0
     with nm.no_grad():
-        for ex, vnrc in prepared:
-            _, lm, emo = total_loss(ex, params, config, vnrc)
-            lm_sum += lm.item()
-            emo_sum += emo.item()
+        for start in range(0, len(prepared), batch_size):
+            batch, vnrc = make_batch(prepared[start:start + batch_size])
+            _, lm, emo = total_loss(batch, params, config, vnrc)
+            lm_sum += float(lm.data.sum())
+            emo_sum += float(emo.data.sum())
     n = len(prepared)
     lm_mean, emo_mean = lm_sum / n, emo_sum / n
     return lm_mean, emo_mean, config.c1 * lm_mean + config.c2 * emo_mean
@@ -100,7 +102,7 @@ def evaluate_loss(
     """(L_lm, L_emo, L_total) averaged over records, without touching parameters."""
     if not records:
         raise ValueError("evaluate_loss needs at least one record")
-    return _mean_losses(params, _prepare(records, vocab, lex, config), config)
+    return _mean_losses(params, _prepare(records, vocab, lex, config), config, TrainConfig.batch_size)
 
 
 def train(
@@ -123,7 +125,7 @@ def train(
     all_params = params.all()
 
     history: list[EpochStats] = []
-    initial = _mean_losses(params, prepared_train, config)
+    initial = _mean_losses(params, prepared_train, config, train_config.batch_size)
     best_val = float("inf")
     best_snapshot = params.snapshot()
     best_epoch = -1
@@ -135,22 +137,19 @@ def train(
         lm_sum = emo_sum = 0.0
         norms = []
         for batch_index, start in enumerate(range(0, n, train_config.batch_size)):
-            batch = [prepared_train[i] for i in order[start:start + train_config.batch_size]]
+            batch, vnrc = make_batch([prepared_train[i] for i in order[start:start + train_config.batch_size]])
             try:
-                combined = None
-                for ex, vnrc in batch:
-                    loss, lm, emo = total_loss(ex, params, config, vnrc)
-                    lm_sum += lm.item()
-                    emo_sum += emo.item()
-                    combined = loss if combined is None else nm.add(combined, loss)
-                nm.backward(nm.scalar_mul(combined, 1.0 / len(batch)))
+                loss, lm, emo = total_loss(batch, params, config, vnrc)
+                lm_sum += float(lm.data.sum())
+                emo_sum += float(emo.data.sum())
+                nm.backward(loss)
                 norms.append(nm.sgd_step(all_params, train_config.learning_rate, train_config.clip))
             except FloatingPointError as err:
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}: {err}") from err
 
         train_lm, train_emo = lm_sum / n, emo_sum / n
-        valid_lm, valid_emo, valid_total = _mean_losses(params, prepared_valid, config)
+        valid_lm, valid_emo, valid_total = _mean_losses(params, prepared_valid, config, train_config.batch_size)
         history.append(EpochStats(
             train_lm=train_lm,
             train_emo=train_emo,

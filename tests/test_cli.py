@@ -332,6 +332,58 @@ def test_negative_seed_in_config_exits_2_naming_path(tmp_path, corpus_file, caps
     assert f"{cfg}: seed must be a non-negative integer, got -3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--attention-heads", "0"), ("--attention-heads", "-2"),
+                                        ("--embed-dim", "0"), ("--max-len", "0"), ("--ffn-dim", "0")])
+def test_nonpositive_model_size_flag_exits_2_naming_key(capsys, flag, value):
+    assert main(["gradcheck", flag, value]) == 2
+    assert f"{flag} must be a positive integer, got {value}" in capsys.readouterr().err
+
+
+def test_nonpositive_model_size_in_config_exits_2_naming_path(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=1\nattention_heads=0\n", encoding="utf-8")
+    assert main(["gradcheck", "--config", str(cfg)]) == 2
+    assert f"{cfg}: attention_heads must be a positive integer, got 0" in capsys.readouterr().err
+
+
+def test_negative_max_tokens_exits_2_naming_key(tmp_path, prepared_dir, trained_dir, capsys):
+    args = ["generate", "--data", str(prepared_dir), "--checkpoint", str(trained_dir / "model.emot"),
+            "--lexicon", str(FIXTURE_LEXICON_PATH)]
+    assert main([*args, "--out", str(tmp_path / "neg"), "--max-tokens", "-3"]) == 2
+    assert "--max-tokens must be a non-negative integer, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "neg").exists()
+
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("max_tokens=-3\n", encoding="utf-8")
+    assert main([*args, "--out", str(tmp_path / "neg"), "--config", str(cfg)]) == 2
+    assert f"{cfg}: max_tokens must be a non-negative integer, got -3" in capsys.readouterr().err
+
+    assert main([*args, "--out", str(tmp_path / "zero"), "--max-tokens", "0"]) == 0
+    rows = [json.loads(line) for line in (tmp_path / "zero" / "generated.jsonl").read_text().splitlines()]
+    assert rows and all(row["explanation"] == "" for row in rows)
+
+
+def test_numeric_failure_names_epoch_batch_and_op(tmp_path, prepared_dir, capsys):
+    import re
+
+    import numpy as np
+
+    from emoexplain import numerics
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([
+            "train", "--data", str(prepared_dir), "--lexicon", str(FIXTURE_LEXICON_PATH),
+            "--out", str(tmp_path / "run"), "--seed", "23", "--embed-dim", "16", "--ffn-dim", "32",
+            "--batch-size", "8", "--max-epochs", "3", "--patience", "3",
+            "--learning-rate", "1e200",
+        ])
+    assert code == 3
+    err = capsys.readouterr().err
+    found = re.search(r"at epoch \d+, batch \d+: non-finite values in the output of (\w+)", err)
+    assert found, err
+    assert callable(getattr(numerics, found.group(1), None)), found.group(1)
+
+
 @pytest.mark.parametrize("command", ["evaluate", "audit"])
 @pytest.mark.parametrize("bad_row", ["[1, 2]", '{"user": "u", "item": "i", "explanation": 5}'])
 def test_malformed_generated_row_exits_2(tmp_path, prepared_dir, generated_dir, capsys, command, bad_row):

@@ -76,6 +76,12 @@ def test_query_requires_features():
         GenerationQuery("u", "i", (), "happy")
 
 
+def test_query_rejects_negative_max_tokens():
+    with pytest.raises(ValueError, match="max_tokens must be a non-negative integer, got -3"):
+        GenerationQuery("u", "i", ("f",), "happy", max_tokens=-3)
+    assert GenerationQuery("u", "i", ("f",), "happy", max_tokens=0).max_tokens == 0
+
+
 def test_batch_of_one_equals_generate(trained, lex):
     params, config, vocab, split = trained
     rec = split.train[3]

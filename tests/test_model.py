@@ -10,6 +10,7 @@ from emoexplain import numerics as nm
 from emoexplain.corpus import Record, encode_example
 from emoexplain.lexicon import NEUTRAL_VECTOR
 from emoexplain.model import (
+    Batch,
     ModelConfig,
     ModelParams,
     decode,
@@ -21,6 +22,7 @@ from emoexplain.model import (
     forward,
     fuse,
     lm_head,
+    make_batch,
     total_loss,
 )
 from emoexplain.numerics import Tensor
@@ -42,6 +44,14 @@ def tiny_setup(tiny_config, tiny_record, tiny_vocab, lex):
     example = encode_example(tiny_record, tiny_vocab, tiny_config.max_len)
     vnrc = emotion_input_matrix(example, tiny_vocab, lex)
     return params, example, vnrc
+
+
+@pytest.mark.parametrize("field", ["max_len", "embed_dim", "ffn_dim", "encoder_layers",
+                                   "decoder_layers", "attention_heads"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_config_rejects_nonpositive_sizes(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a positive integer, got {value}"):
+        ModelConfig(n_tokens=20, n_users=2, n_items=2, **{field: value})
 
 
 def test_config_rejects_indivisible_heads():
@@ -341,3 +351,80 @@ def test_gradients_match_finite_differences_on_spec_config(tiny_setup, tiny_conf
         lambda: total_loss(example, params, tiny_config, vnrc)[0],
         params.all(), n_samples=250, seed=1)
     assert err < 1e-3
+
+
+# Records of 1 to 5 explanation words and 1 or 2 features: <eos> at positions
+# 7 to 10, so a batch of them is cut to 11 of max_len 14 positions.
+MIXED_RECORDS = [
+    Record("u000", "i001", ("lobby",), "nice warm bar", "happy"),
+    Record("u001", "i000", ("pool", "spa"), "quiet", "sad"),
+    Record("u000", "i000", ("room",), "warm view walk spa nice", "fear"),
+    Record("u001", "i001", ("bar", "view"), "walk", "neutral"),
+]
+# Batched and per-example arithmetic differ only in the order of sums, so each
+# loss, and each parameter's gradient relative to its largest entry, agrees
+# within 1e-12.
+BATCH_TOL = 1e-12
+
+
+def _mixed_batch(config, vocab, lex):
+    prepared = []
+    for rec in MIXED_RECORDS:
+        ex = encode_example(rec, vocab, config.max_len)
+        prepared.append((ex, emotion_input_matrix(ex, vocab, lex, config.mask_emotion_tag)))
+    return prepared
+
+
+def _within(got, want) -> bool:
+    return np.max(np.abs(np.asarray(got) - want)) <= BATCH_TOL * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("overrides", [{}, {"mask_emotion_tag": True}, {"c1": 0.0}, {"c2": 0.0}])
+def test_batched_loss_and_gradients_equal_mean_over_examples(tiny_vocab, lex, overrides):
+    config = ModelConfig(n_tokens=20, n_users=2, n_items=2, max_len=14, embed_dim=8, ffn_dim=16, **overrides)
+    params = ModelParams(config, seed=7)
+    prepared = _mixed_batch(config, tiny_vocab, lex)
+    losses = []
+    mean_grads = [np.zeros_like(p.data) for p in params.all()]
+    for ex, vnrc in prepared:
+        loss, lm, emo = total_loss(ex, params, config, vnrc)
+        nm.backward(loss)
+        losses.append((loss.item(), lm.item(), emo.item()))
+        for acc, p in zip(mean_grads, params.all()):
+            acc += p.grad / len(prepared)
+            p.zero_grad()
+    losses = np.array(losses)
+
+    batch, vnrc = make_batch(prepared)
+    assert batch.context_ids.shape == vnrc.shape[:2] == (4, 11)  # the cut is active
+    loss, lm, emo = total_loss(batch, params, config, vnrc)
+    nm.backward(loss)
+    assert _within(loss.item(), losses[:, 0].mean())
+    assert _within(lm.data, losses[:, 1])
+    assert _within(emo.data, losses[:, 2])
+    for p, want in zip(params.all(), mean_grads):
+        assert _within(p.grad, want), p.name
+
+
+def test_cut_batch_gives_the_losses_of_the_full_length_batch(tiny_vocab, lex):
+    config = ModelConfig(n_tokens=20, n_users=2, n_items=2, max_len=14, embed_dim=8, ffn_dim=16)
+    params = ModelParams(config, seed=8)
+    prepared = _mixed_batch(config, tiny_vocab, lex)
+    cut, cut_vnrc = make_batch(prepared)
+    full = Batch(
+        context_ids=np.array([ex.context_ids for ex, _ in prepared]),
+        emotion_target=cut.emotion_target, tag_position=cut.tag_position,
+        bos_position=cut.bos_position, eos_position=cut.eos_position,
+    )
+    full_vnrc = np.stack([vnrc for _, vnrc in prepared])
+    with nm.no_grad():
+        cut_losses = total_loss(cut, params, config, cut_vnrc)
+        full_losses = total_loss(full, params, config, full_vnrc)
+    assert full.context_ids.shape[1] == config.max_len > cut.context_ids.shape[1]
+    for got, want in zip(cut_losses, full_losses):
+        assert _within(got.data, want.data)
+
+
+def test_make_batch_needs_an_example():
+    with pytest.raises(ValueError, match="at least one example"):
+        make_batch([])

@@ -167,6 +167,157 @@ def test_no_grad_disables_recording():
     assert not out.requires_grad
 
 
+def test_non_finite_op_output_names_the_op():
+    big = Tensor(np.full((2, 2), 1e200))
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="in the output of matmul"):
+        nm.matmul(big, big)
+
+
+# --- stacks (B, L, d) ---------------------------------------------------------
+# Each primitive on a stack must give its 2-d result on every slice (within
+# 1e-12), gradcheck below 1e-3, and sum shared-weight gradients over the slices.
+
+SLICE_TOL = 1e-12
+
+
+def _probe(rng, shape):
+    """A scalar of a (..., n, c) tensor whose gradient differs from row to row:
+    summed cross-entropy against fixed random targets."""
+    targets = rng.integers(0, shape[-1], size=shape[:-1])
+    return lambda out: nm.tensor_sum(nm.cross_entropy(out, targets))
+
+
+def _close(a, b) -> bool:
+    return a.shape == b.shape and np.max(np.abs(a - b)) <= SLICE_TOL
+
+
+@pytest.mark.parametrize("transpose_b", [False, True])
+def test_matmul_stack_matches_slices_and_sums_weight_gradient(transpose_b):
+    rng = np.random.default_rng(20)
+    a = Parameter(rng.normal(size=(3, 5, 4)), "a")
+    b = Parameter(rng.normal(size=(6, 4) if transpose_b else (4, 6)), "b")
+    targets = rng.integers(0, 6, size=(3, 5))
+    out = nm.matmul(a, b, transpose_b)
+    nm.backward(nm.tensor_sum(nm.cross_entropy(out, targets)))
+    stacked_b_grad = b.grad.copy()
+    summed = np.zeros_like(b.data)
+    for i in range(3):
+        b.zero_grad()
+        a_i = Parameter(a.data[i], "a_i")
+        out_i = nm.matmul(a_i, b, transpose_b)
+        assert _close(out.data[i], out_i.data)
+        nm.backward(nm.cross_entropy(out_i, targets[i]))
+        summed += b.grad
+        assert _close(a.grad[i], a_i.grad)
+    assert np.max(np.abs(stacked_b_grad - summed)) <= SLICE_TOL
+    probe = _probe(rng, (3, 5, 6))
+    assert nm.grad_check(lambda: probe(nm.matmul(a, b, transpose_b)), [a, b], n_samples=80) < 1e-3
+
+
+@pytest.mark.parametrize("m,n,heads", [(4, 4, 2), (2, 5, 2), (1, 3, 3)])
+def test_attention_stack_matches_slices_and_gradchecks(m, n, heads):
+    rng = np.random.default_rng(21 + m + n)
+    q = Parameter(rng.normal(size=(3, m, 6)), "q")
+    k = Parameter(rng.normal(size=(3, n, 6)), "k")
+    v = Parameter(rng.normal(size=(3, n, 6)), "v")
+    out = nm.attention(q, k, v, n_heads=heads).data
+    assert out.shape == (3, m, 6)
+    for i in range(3):
+        ref = nm.attention(Tensor(q.data[i]), Tensor(k.data[i]), Tensor(v.data[i]), n_heads=heads).data
+        assert _close(out[i], ref)
+    probe = _probe(rng, (3, m, 6))
+    assert nm.grad_check(lambda: probe(nm.attention(q, k, v, n_heads=heads)), [q, k, v], n_samples=90) < 1e-3
+
+
+def test_attention_stack_rejects_mismatched_batches():
+    with pytest.raises(ValueError, match="attention shape mismatch"):
+        nm.attention(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 3, 4))), Tensor(np.ones((3, 3, 4))), n_heads=2)
+
+
+def test_layer_norm_stack_matches_slices_and_sums_affine_gradients():
+    rng = np.random.default_rng(22)
+    x = Parameter(rng.normal(size=(3, 4, 5)) * 2 + 1, "x")
+    gamma = Parameter(rng.normal(size=5), "gamma")
+    beta = Parameter(rng.normal(size=5), "beta")
+    targets = rng.integers(0, 5, size=(3, 4))
+    out = nm.layer_norm(x, gamma, beta)
+    nm.backward(nm.tensor_sum(nm.cross_entropy(out, targets)))
+    stacked = gamma.grad.copy(), beta.grad.copy()
+    summed = np.zeros(5), np.zeros(5)
+    for i in range(3):
+        gamma.zero_grad()
+        beta.zero_grad()
+        out_i = nm.layer_norm(Tensor(x.data[i]), gamma, beta)
+        assert _close(out.data[i], out_i.data)
+        nm.backward(nm.cross_entropy(out_i, targets[i]))
+        summed = summed[0] + gamma.grad, summed[1] + beta.grad
+    for got, want in zip(stacked, summed):
+        assert np.max(np.abs(got - want)) <= SLICE_TOL
+    probe = _probe(rng, (3, 4, 5))
+    assert nm.grad_check(lambda: probe(nm.layer_norm(x, gamma, beta)), [x, gamma, beta], n_samples=70) < 1e-3
+
+
+def test_embedding_2d_ids_match_rows_and_accumulate():
+    rng = np.random.default_rng(23)
+    table = Parameter(rng.normal(size=(6, 4)), "emb")
+    ids = np.array([[1, 3, 1], [5, 0, 3]])
+    out = nm.embedding(table, ids)
+    assert out.data.shape == (2, 3, 4)
+    for i in range(2):
+        assert np.array_equal(out.data[i], nm.embedding(table, ids[i]).data)
+    nm.backward(nm.tensor_sum(out))
+    assert np.array_equal(table.grad[:, 0], [1.0, 2.0, 0.0, 2.0, 0.0, 1.0])
+    probe = _probe(rng, (2, 3, 4))
+    assert nm.grad_check(lambda: probe(nm.embedding(table, ids)), [table], n_samples=24) < 1e-3
+
+
+def test_gather_rows_on_rows_and_stacks():
+    rng = np.random.default_rng(24)
+    a = Parameter(rng.normal(size=(3, 5, 4)), "a")
+    rows = np.array([[4, 0], [2, 2], [1, 3]])  # a repeated row accumulates
+    out = nm.gather_rows(a, rows)
+    assert out.data.shape == (3, 2, 4)
+    for i in range(3):
+        assert np.array_equal(out.data[i], nm.gather_rows(Tensor(a.data[i]), rows[i]).data)
+        assert np.array_equal(out.data[i], a.data[i][rows[i]])
+    nm.backward(nm.tensor_sum(out))
+    assert np.array_equal(a.grad[1, :, 0], [0.0, 0.0, 2.0, 0.0, 0.0])
+    probe = _probe(rng, (3, 2, 4))
+    assert nm.grad_check(lambda: probe(nm.gather_rows(a, rows)), [a], n_samples=60) < 1e-3
+    with pytest.raises(ValueError, match="out of range"):
+        nm.gather_rows(a, [[5], [0], [0]])
+    with pytest.raises(ValueError, match="does not fit"):
+        nm.gather_rows(a, [1, 2])
+
+
+def test_cross_entropy_stack_is_per_slice_mean():
+    rng = np.random.default_rng(25)
+    logits = Parameter(rng.normal(size=(3, 4, 5)), "logits")
+    targets = rng.integers(0, 5, size=(3, 4))
+    mask = np.array([[True, True, False, False], [False, True, True, True], [True, False, False, False]])
+    plain = nm.cross_entropy(logits, targets)
+    masked = nm.cross_entropy(logits, targets, mask)
+    assert plain.data.shape == masked.data.shape == (3,)
+    for i in range(3):
+        assert _close(plain.data[i], nm.cross_entropy(Tensor(logits.data[i]), targets[i]).data)
+        rows = Tensor(logits.data[i][mask[i]])
+        assert _close(masked.data[i], nm.cross_entropy(rows, targets[i][mask[i]]).data)
+    nm.backward(nm.tensor_sum(masked))
+    assert not logits.grad[~mask].any()
+    assert nm.grad_check(lambda: nm.tensor_sum(nm.cross_entropy(logits, targets, mask)), [logits], n_samples=60) < 1e-3
+
+
+def test_cross_entropy_mask_keeps_2d_result_and_needs_a_row_per_slice():
+    rng = np.random.default_rng(26)
+    logits = rng.normal(size=(6, 5))
+    targets = rng.integers(0, 5, size=6)
+    mask = np.array([False, True, True, True, False, False])
+    sliced = nm.cross_entropy(Tensor(logits[1:4]), targets[1:4]).data
+    assert nm.cross_entropy(Tensor(logits), targets, mask).data == sliced  # bitwise
+    with pytest.raises(ValueError, match="must mark a row"):
+        nm.cross_entropy(Tensor(np.zeros((2, 3, 5))), np.zeros((2, 3)), [[True, False, False], [False] * 3])
+
+
 # --- sgd ---------------------------------------------------------------------
 
 def test_sgd_zero_gradients_leave_parameters_unchanged():
