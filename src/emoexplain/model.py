@@ -421,8 +421,9 @@ def lm_head(state: ForwardState, example: EncodedExample | Batch) -> Tensor:
     positions = np.arange(ids.shape[-1])
     supervised = ((positions >= np.expand_dims(example.bos_position, -1))
                   & (positions < np.expand_dims(example.eos_position, -1)))
-    # Row p predicts the id at p + 1; the last row has no successor and is never supervised.
-    targets = np.concatenate([ids[..., 1:], np.full((*ids.shape[:-1], 1), PAD)], axis=-1)
+    # Row p predicts the id at p + 1. Rows that are not supervised get PAD:
+    # their successor may be an item id (row 0) or absent (the last row).
+    targets = np.where(supervised, np.roll(ids, -1, axis=-1), PAD)
     return nm.cross_entropy(state.lm_logits, targets, supervised)
 
 

@@ -122,7 +122,9 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g @ b.data if transpose_b else g @ b.data.T)
         if b.requires_grad:
-            # The sum over the batch of each slice's weight gradient.
+            # The sum over the batch of each slice's weight gradient. One flattened
+            # (B·L, k) GEMM is faster but rounds differently; ROADMAP direction 2
+            # says what has to change before it can replace this loop.
             for a_slice, g_slice in zip(a.data.reshape(-1, *a.data.shape[-2:]), g.reshape(-1, *g.shape[-2:])):
                 _accumulate(b, g_slice.T @ a_slice if transpose_b else a_slice.T @ g_slice)
 
@@ -336,7 +338,7 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     idx = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim not in (2, 3):
         raise ValueError(f"cross_entropy expects (n, classes) or (B, n, classes) logits, got {logits.data.shape}")
-    n, n_classes = logits.data.shape[-2:]
+    n_classes = logits.data.shape[-1]
     if idx.shape != logits.data.shape[:-1]:
         raise ValueError(f"cross_entropy targets shape {idx.shape} does not match logits {logits.data.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= n_classes):
@@ -345,18 +347,14 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     e = np.exp(logits.data - m)
     lse = m[..., 0] + np.log(e.sum(axis=-1))
     picked = (*np.indices(idx.shape, sparse=True), idx)  # each row's target entry
-    nll = lse - logits.data[picked]
     if mask is None:
         mask = np.ones(idx.shape, dtype=bool)
-        loss = nll.mean(axis=-1)
     else:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != idx.shape or not mask.any(axis=-1).all():
             raise ValueError(f"cross_entropy mask of shape {mask.shape} must mark a row in every slice")
-        # Each slice's marked rows, averaged as one (n_marked,) array would be.
-        loss = np.reshape([row[keep].mean() for row, keep in zip(nll.reshape(-1, n), mask.reshape(-1, n))],
-                          idx.shape[:-1])
     counts = mask.sum(axis=-1)
+    loss = ((lse - logits.data[picked]) * mask).sum(axis=-1) / counts
 
     def backward_fn(g):
         if logits.requires_grad:

@@ -428,3 +428,22 @@ def test_cut_batch_gives_the_losses_of_the_full_length_batch(tiny_vocab, lex):
 def test_make_batch_needs_an_example():
     with pytest.raises(ValueError, match="at least one example"):
         make_batch([])
+
+
+def test_losses_accept_item_ids_beyond_the_token_table(tiny_vocab, lex):
+    # Position 1 holds an item-table id; with more items than tokens it is not
+    # a valid token id, and it must never be taken as an LM target.
+    vocab = replace(tiny_vocab, id_to_item=tuple(f"i{i:03d}" for i in range(30)),
+                    token_to_id={}, user_to_id={}, item_to_id={})
+    config = ModelConfig(n_tokens=vocab.n_tokens, n_users=2, n_items=30, max_len=14, embed_dim=8, ffn_dim=16)
+    params = ModelParams(config, seed=9)
+    prepared = _mixed_batch(config, vocab, lex)
+    prepared = [(replace(ex, context_ids=(ex.context_ids[0], 25 + k, *ex.context_ids[2:])), vnrc)
+                for k, (ex, vnrc) in enumerate(prepared)]
+    batch, batch_vnrc = make_batch(prepared)
+    for example, vnrc in [prepared[0], (batch, batch_vnrc)]:
+        loss, _, _ = total_loss(example, params, config, vnrc)
+        nm.backward(loss)
+        assert np.isfinite(loss.item())
+        for p in params.all():
+            p.zero_grad()

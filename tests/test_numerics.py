@@ -313,7 +313,7 @@ def test_cross_entropy_mask_keeps_2d_result_and_needs_a_row_per_slice():
     targets = rng.integers(0, 5, size=6)
     mask = np.array([False, True, True, True, False, False])
     sliced = nm.cross_entropy(Tensor(logits[1:4]), targets[1:4]).data
-    assert nm.cross_entropy(Tensor(logits), targets, mask).data == sliced  # bitwise
+    assert abs(nm.cross_entropy(Tensor(logits), targets, mask).data - sliced) <= 1e-12 * abs(sliced)
     with pytest.raises(ValueError, match="must mark a row"):
         nm.cross_entropy(Tensor(np.zeros((2, 3, 5))), np.zeros((2, 3)), [[True, False, False], [False] * 3])
 

@@ -196,3 +196,15 @@ def test_ablation_disable_settings_zero_the_right_weight(small_split, small_voca
     assert by_setting[("disable_emotion", 1.0)]["c1"] == 0.7
     assert by_setting[("disable_lm", 1.0)]["c1"] == 0.0
     assert by_setting[("disable_lm", 1.0)]["c2"] == 0.3
+
+
+def test_train_with_more_items_than_tokens(lex):
+    spec = pool_corpus_spec(4, 100, 300, BALANCED, min_words=3, max_words=5)
+    split = split_dataset(generate_synthetic_corpus(spec, seed=5), seed=5)
+    vocab = build_vocabulary(list(split.train))
+    assert max(vocab.item_to_id.values()) >= vocab.n_tokens
+    config = _config(vocab)
+    tc = TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=5)
+    params, history = train(config, tc, split, lex, vocab)
+    assert np.isfinite(history.epochs[0].valid_total)
+    assert np.all(np.isfinite(evaluate_loss(params, list(split.test), config, vocab, lex)))
