@@ -165,8 +165,24 @@ def output_lock(out_dir: Path):
         lock.unlink(missing_ok=True)
 
 
+@contextmanager
+def _replacing(path: Path):
+    """A text handle on a temporary file beside ``path`` that replaces ``path`` only if the block completes.
+
+    An error or kill mid-write leaves any earlier ``path`` as it was.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with _replacing(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _require(resolved: dict, *keys: str) -> None:
@@ -396,10 +412,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
         for rec in tagged
     ]
     results = batch_generate(params, config, vocab, lex, queries)
+    done = [r for r in results if r.tokens is not None]
+    failures = len(results) - len(done)
+    summary = {
+        "queries": len(results),
+        "failed": failures,
+        "tokens": sum(len(r.tokens) for r in done),
+        "stop": {reason: sum(r.stop == reason for r in done) for reason in ("eos", "max_tokens", "length_budget")},
+    }
 
     with output_lock(out_dir):
         write_resolved_config(out_dir, resolved)
-        with open(out_dir / "generated.jsonl", "w", encoding="utf-8") as fh:
+        with _replacing(out_dir / "generated.jsonl") as fh:
             for query, result in zip(queries, results):
                 row = {"user": query.user, "item": query.item, "requested_emotion": query.emotion}
                 if result.tokens is None:
@@ -408,7 +432,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 else:
                     row["explanation"] = " ".join(result.tokens)
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
-    failures = sum(1 for r in results if r.tokens is None)
+        _write_json(out_dir / "generation.json", summary)
     print(f"generated {len(results)} explanations ({failures} failed) -> {out_dir / 'generated.jsonl'}")
     return 0
 

@@ -10,7 +10,7 @@ the decoder) is causal so the next-token factorization stays valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -155,8 +155,13 @@ class ModelParams:
         out.append(self.emotion_head_weight)
         return out
 
-    def snapshot(self) -> list[np.ndarray]:
-        return [p.data.copy() for p in self.all()]
+    def snapshot(self, into: list[np.ndarray] | None = None) -> list[np.ndarray]:
+        """Copies of every parameter's values, written over the arrays of ``into`` when given."""
+        if into is None:
+            return [p.data.copy() for p in self.all()]
+        for dst, p in zip(into, self.all(), strict=True):
+            np.copyto(dst, p.data)
+        return into
 
     def restore(self, arrays: list[np.ndarray]) -> None:
         for p, arr in zip(self.all(), arrays, strict=True):
@@ -200,6 +205,10 @@ class Batch:
     bos_position: np.ndarray
     eos_position: np.ndarray
 
+    def select(self, rows: np.ndarray) -> Batch:
+        """The examples at ``rows``, in that order."""
+        return Batch(*(getattr(self, f.name)[rows] for f in fields(self)))
+
 
 def make_batch(prepared: list[tuple[EncodedExample, np.ndarray]]) -> tuple[Batch, np.ndarray]:
     """A ``Batch`` and its (B, L, 6) emotion inputs from (example, emotion input matrix) pairs."""
@@ -223,12 +232,20 @@ StackCache = list[tuple[Tensor, Tensor]]
 
 @dataclass
 class DecodeCache:
-    """Keys and values of the positions fed so far, for incremental decoding."""
+    """Keys and values of the positions fed so far, for incremental decoding.
+
+    Decoding a ``Batch`` gives every cached K/V a leading batch axis.
+    """
 
     emotion: StackCache = field(default_factory=list)
     context: StackCache = field(default_factory=list)
     decoder: StackCache = field(default_factory=list)
     length: int = 0
+
+    def select(self, rows: np.ndarray) -> None:
+        """Keep only the batch rows ``rows`` of every cached K/V."""
+        for stack in (self.emotion, self.context, self.decoder):
+            stack[:] = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in stack]
 
 
 def _encoder_stack(x: Tensor, layers: list[LayerParams], n_heads: int, cache: StackCache | None = None) -> Tensor:
@@ -244,8 +261,8 @@ def _encoder_stack(x: Tensor, layers: list[LayerParams], n_heads: int, cache: St
         v = nm.matmul(x, lp.wv)
         if cache is not None:
             if i < len(cache):
-                k = nm.concat([cache[i][0], k])
-                v = nm.concat([cache[i][1], v])
+                k = nm.concat([cache[i][0], k], axis=-2)
+                v = nm.concat([cache[i][1], v], axis=-2)
                 cache[i] = (k, v)
             else:
                 cache.append((k, v))
@@ -375,7 +392,7 @@ def _decoded(
     hidden_context = encode_context(example, params, config, context, start)
     decoded = decode(fuse(hidden_emo, hidden_context, config.intensity), params, config, decoder)
     if cache is not None:
-        cache.length += vnrc.shape[0]
+        cache.length += vnrc.shape[-2]
     return decoded
 
 
@@ -392,16 +409,20 @@ def forward(
 
 
 def next_token_logits(
-    example: EncodedExample, params: ModelParams, config: ModelConfig, vnrc: np.ndarray,
+    example: EncodedExample | Batch, params: ModelParams, config: ModelConfig, vnrc: np.ndarray,
     cache: DecodeCache,
 ) -> np.ndarray:
     """LM logits at the last of the positions that ``example`` and ``vnrc`` append to ``cache``.
 
     Only that row goes through the LM head, and the emotion head is not
-    computed: this is the decoding step, run under ``no_grad``.
+    computed: this is the decoding step, run under ``no_grad``.  A ``Batch``
+    gives a (B, n_tokens) block, the last row of each of its slices.
     """
     decoded = _decoded(example, params, config, vnrc, cache)
-    last = decoded.data.shape[0]
+    last = decoded.data.shape[-2]
+    if decoded.data.ndim == 3:
+        rows = nm.gather_rows(decoded, np.full((decoded.data.shape[0], 1), last - 1))
+        return nm.matmul(rows, params.token_embedding, transpose_b=True).data[:, 0]
     return nm.matmul(nm.slice_rows(decoded, last - 1, last), params.token_embedding, transpose_b=True).data[0]
 
 

@@ -407,16 +407,19 @@ def sgd_step(params: list[Parameter], learning_rate: float, clip_threshold: floa
     """
     total = 0.0
     for p in params:
-        g = p.grad
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in parameter {p.name!r}")
-        total += float((g * g).sum())
+        total += float((p.grad * p.grad).sum())
+    if not math.isfinite(total):
+        # Name the culprit; finite gradients whose squares overflow clip to a zero step.
+        for p in params:
+            if not np.all(np.isfinite(p.grad)):
+                raise FloatingPointError(f"non-finite gradient in parameter {p.name!r}")
     norm = math.sqrt(total)
     scale = 1.0
     if clip_threshold is not None and norm > clip_threshold:
         scale = clip_threshold / norm
     for p in params:
-        p.data -= learning_rate * scale * p.grad
+        p.grad *= learning_rate * scale
+        p.data -= p.grad
         p.grad.fill(0.0)
     return norm
 

@@ -127,7 +127,7 @@ def train(
     history: list[EpochStats] = []
     initial = _mean_losses(params, prepared_train, config, train_config.batch_size)
     best_val = float("inf")
-    best_snapshot = params.snapshot()
+    best_snapshot = None  # taken at the first improving epoch, then overwritten in place
     best_epoch = -1
     stale = 0
 
@@ -162,7 +162,7 @@ def train(
         ))
         if valid_total < best_val:
             best_val = valid_total
-            best_snapshot = params.snapshot()
+            best_snapshot = params.snapshot(best_snapshot)
             best_epoch = epoch
             stale = 0
         else:
@@ -170,7 +170,8 @@ def train(
             if stale >= train_config.patience:
                 break
 
-    params.restore(best_snapshot)
+    if best_snapshot is not None:
+        params.restore(best_snapshot)
     return params, TrainHistory(initial_train=initial, epochs=history, best_epoch=best_epoch)
 
 
@@ -188,7 +189,7 @@ def ablation_grid(
     standalone run bit for bit.  Each row carries the full metrics report plus
     the emotion-audit L1 distance.
     """
-    from .generator import GenerationQuery, generate
+    from .generator import GenerationQuery, batch_generate
     from .metrics import EvaluationPair, build_report, report_to_dict
 
     tagged_test = assign_emotion_tags(list(splits.test), lex)
@@ -199,15 +200,16 @@ def ablation_grid(
         for intensity in ABLATION_INTENSITIES:
             cell_config = replace(model_config, c1=c1, c2=c2, intensity=intensity)
             params, _ = train(cell_config, train_config, splits, lex, vocab)
+            results = batch_generate(params, cell_config, vocab, lex, [
+                GenerationQuery(user=rec.user, item=rec.item, features=rec.features,
+                                emotion=rec.emotion, max_tokens=max_tokens)
+                for rec in tagged_test
+            ])
             pairs = []
-            hyps = []
-            for rec in tagged_test:
-                tokens = generate(params, cell_config, vocab, lex, GenerationQuery(
-                    user=rec.user, item=rec.item, features=rec.features,
-                    emotion=rec.emotion, max_tokens=max_tokens,
-                ))
-                hyps.append(tokens)
-                pairs.append(EvaluationPair.from_texts(rec.explanation, " ".join(tokens), rec.features))
+            for rec, result in zip(tagged_test, results):
+                if result.error is not None:
+                    raise ValueError(result.error)
+                pairs.append(EvaluationPair.from_texts(rec.explanation, " ".join(result.tokens), rec.features))
             report = build_report(pairs, lex)
             row = {"loss_setting": setting, "intensity": intensity, "c1": c1, "c2": c2}
             row.update(report_to_dict(report))

@@ -412,3 +412,73 @@ def test_audit_reversed_file_exits_2(tmp_path, prepared_dir, generated_dir, caps
     ])
     assert code == 2
     assert f"{reversed_file}: generated row for" in capsys.readouterr().err
+
+
+def test_generate_writes_stop_reason_counts(generated_dir, prepared_dir, trained_dir):
+    from types import SimpleNamespace
+
+    from .test_generator import _stop_reason
+
+    max_len = next(int(line.split("=")[1]) for line in (trained_dir / "config.txt").read_text().splitlines()
+                   if line.startswith("max_len="))
+    test_rows = [json.loads(line) for line in (prepared_dir / "test.jsonl").read_text().splitlines()]
+    rows = [json.loads(line) for line in (generated_dir / "generated.jsonl").read_text().splitlines()]
+    counts = {"eos": 0, "max_tokens": 0, "length_budget": 0}
+    for rec, row in zip(test_rows, rows, strict=True):
+        query = SimpleNamespace(features=tuple(rec["features"]), max_tokens=6)
+        tokens = row["explanation"].split()
+        counts[_stop_reason(SimpleNamespace(max_len=max_len), query, tokens)] += 1
+    summary = json.loads((generated_dir / "generation.json").read_text())
+    assert summary == {
+        "queries": len(rows), "failed": 0, "stop": counts,
+        "tokens": sum(len(row["explanation"].split()) for row in rows),
+    }
+
+
+def test_generate_counts_failures(tmp_path, prepared_dir, trained_dir):
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(prepared_dir, data)
+    records = [json.loads(line) for line in (data / "test.jsonl").read_text().splitlines()]
+    records[1]["user"] = "nobody"
+    (data / "test.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "gen"
+    assert main([
+        "generate", "--data", str(data), "--checkpoint", str(trained_dir / "model.emot"),
+        "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(out), "--seed", "23", "--max-tokens", "3",
+    ]) == 0
+    rows = [json.loads(line) for line in (out / "generated.jsonl").read_text().splitlines()]
+    assert [i for i, row in enumerate(rows) if "error" in row] == [1]
+    summary = json.loads((out / "generation.json").read_text())
+    assert summary["queries"] == len(rows) and summary["failed"] == 1
+    assert sum(summary["stop"].values()) == len(rows) - 1
+
+
+def test_interrupted_generate_keeps_the_earlier_output(tmp_path, prepared_dir, trained_dir, monkeypatch):
+    from emoexplain import cli
+
+    out = tmp_path / "gen"
+    args = ["generate", "--data", str(prepared_dir), "--checkpoint", str(trained_dir / "model.emot"),
+            "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(out), "--seed", "23"]
+    assert main([*args, "--max-tokens", "2"]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert {"generated.jsonl", "generation.json"} <= set(before)
+
+    dumps = json.dumps
+    rows_written = []
+
+    def dies_after_the_first_row(obj, **kwargs):
+        if rows_written:
+            raise KeyboardInterrupt("killed mid-write")
+        rows_written.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", dies_after_the_first_row)
+    with pytest.raises(KeyboardInterrupt):
+        main([*args, "--max-tokens", "5"])
+    monkeypatch.undo()
+    assert len(rows_written) == 1
+    assert (out / "generated.jsonl").read_bytes() == before["generated.jsonl"]
+    assert (out / "generation.json").read_bytes() == before["generation.json"]
+    assert sorted(path.name for path in out.iterdir()) == sorted(before)

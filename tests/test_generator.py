@@ -184,3 +184,115 @@ def test_cached_decoding_matches_full_recompute_on_seeded_weights(monkeypatch, t
                     tokens = _assert_matches_oracle(monkeypatch, params, masked, vocab, lex, query)
                     reasons.add((mask, _stop_reason(masked, query, tokens)))
     assert {(True, "max_tokens"), (True, "length_budget"), (False, "max_tokens"), (False, "length_budget")} <= reasons
+
+
+def _prefix_len(query) -> int:
+    return 3 + sum(len(tokenize(f)) for f in query.features)  # user, item, features, tag
+
+
+def _lock_step(monkeypatch, params, config, vocab, lex, queries):
+    """``batch_generate``'s results and, per query, the logits row each of its steps read.
+
+    Rows are matched to queries by the lock-step layout: prefix-length groups
+    in order of first appearance, and in each step the group's live queries
+    in query order.  The batch size of every step must equal the number of
+    queries that are still decoding.
+    """
+    blocks = []
+    step = generator.next_token_logits
+
+    def recorded(*args):
+        out = step(*args)
+        blocks.append(out.copy())
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(generator, "next_token_logits", recorded)
+        results = batch_generate(params, config, vocab, lex, queries)
+
+    groups: dict[int, list[int]] = {}
+    for i, (query, result) in enumerate(zip(queries, results)):
+        if result.tokens is not None:
+            groups.setdefault(_prefix_len(query), []).append(i)
+    rows = {i: [] for members in groups.values() for i in members}
+    blocks_iter = iter(blocks)
+    for members in groups.values():
+        # A query decodes one step per token, plus the step that emits <eos>.
+        steps = {i: len(results[i].tokens) + (_stop_reason(config, queries[i], results[i].tokens) == "eos")
+                 for i in members}
+        sizes = []
+        for s in range(max(steps.values())):
+            live = [i for i in members if steps[i] > s]
+            block = next(blocks_iter)
+            assert block.shape == (len(live), config.n_tokens)
+            sizes.append(len(live))
+            for row, i in enumerate(live):
+                rows[i].append(block[row])
+        assert sizes == sorted(sizes, reverse=True)
+    assert next(blocks_iter, None) is None
+    return results, rows
+
+
+def _assert_lock_step_matches(monkeypatch, params, config, vocab, lex, queries) -> set[str]:
+    """Check ``batch_generate`` against ``generate`` and the oracle; returns the stop reasons seen."""
+    results, rows = _lock_step(monkeypatch, params, config, vocab, lex, queries)
+    reasons = set()
+    for i, (query, result) in enumerate(zip(queries, results)):
+        try:
+            single = generate(params, config, vocab, lex, query)
+        except ValueError as err:
+            assert result == GeneratedText(tokens=None, error=str(err)) and result.stop is None
+            continue
+        oracle_tokens, oracle_rows = generate_oracle(params, config, vocab, lex, query)
+        assert list(result.tokens) == single == oracle_tokens
+        assert result.stop == _stop_reason(config, query, single)
+        reasons.add(result.stop)
+        assert len(rows[i]) == len(oracle_rows)
+        for row, oracle_row in zip(rows[i], oracle_rows):
+            assert np.max(np.abs(row - oracle_row)) <= 1e-9
+    return reasons
+
+
+def test_lock_step_matches_generate_and_oracle_on_overfit_records(monkeypatch, trained, lex):
+    params, config, vocab, split = trained
+    queries = [GenerationQuery(r.user, r.item, r.features, r.emotion) for r in split.train + split.valid + split.test]
+    assert "eos" in _assert_lock_step_matches(monkeypatch, params, config, vocab, lex, queries)
+
+
+def test_lock_step_matches_oracle_on_mixed_queries(monkeypatch, trained, lex):
+    overfit, config, vocab, split = trained
+    records = split.test[:2] + split.train[:2]
+    queries = []
+    for k, rec in enumerate(records):
+        # Every other record gains a two-word feature, so two prefix lengths interleave.
+        features = rec.features + (("lobby view",) if k % 2 else ())
+        for max_tokens in (0, 1, 4, 500):
+            queries.append(GenerationQuery(rec.user, rec.item, features, rec.emotion, max_tokens=max_tokens))
+    queries.insert(3, GenerationQuery("nobody", records[0].item, records[0].features, records[0].emotion))
+    queries.insert(9, GenerationQuery(records[1].user, "nowhere", records[1].features, records[1].emotion))
+    assert len({_prefix_len(q) for q in queries}) >= 2
+    reasons = set()
+    for mask in (False, True):
+        masked = replace(config, mask_emotion_tag=mask)
+        for params in (overfit, *(ModelParams(masked, seed) for seed in range(3))):
+            reasons |= _assert_lock_step_matches(monkeypatch, params, masked, vocab, lex, queries)
+    assert reasons == {"eos", "max_tokens", "length_budget"}
+
+
+def test_lock_step_drops_rows_that_stop_early(monkeypatch, trained, lex):
+    _, config, vocab, split = trained
+    params = ModelParams(config, 0)
+    rec = split.test[0]
+    queries = [GenerationQuery(rec.user, rec.item, rec.features, rec.emotion, max_tokens=n) for n in (3, 9, 0, 5, 9)]
+    sizes = []
+    step = generator.next_token_logits
+
+    def recorded(*args):
+        out = step(*args)
+        sizes.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(generator, "next_token_logits", recorded)
+    results = batch_generate(params, config, vocab, lex, queries)
+    assert [len(r.tokens) for r in results] == [3, 9, 0, 5, 9]
+    assert sizes == [4, 4, 4, 3, 3, 2, 2, 2, 2]

@@ -367,6 +367,42 @@ def test_sgd_non_finite_gradient_errors_before_update():
     assert np.array_equal(p.data, [1.0])
 
 
+def _three_parameters(seed=0, grad_scale=1.0):
+    rng = np.random.default_rng(seed)
+    params = [Parameter(rng.normal(size=shape), f"p{k}") for k, shape in enumerate([(3, 4), (5,), (2, 2)])]
+    for p in params:
+        p.grad[...] = rng.normal(size=p.data.shape) * grad_scale
+    return params
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sgd_non_finite_gradient_names_its_parameter_and_moves_none(bad):
+    params = _three_parameters()
+    params[1].grad[2] = bad
+    before = [p.data.copy() for p in params]
+    with pytest.raises(FloatingPointError, match="non-finite gradient in parameter 'p1'"):
+        nm.sgd_step(params, learning_rate=0.5, clip_threshold=1.0)
+    assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
+
+
+def _reference_sgd_step(params, learning_rate, clip_threshold):
+    """The update as a plain out-of-place formula: the clipped step, scaled as lr * scale first."""
+    norm = math.sqrt(sum(float((p.grad * p.grad).sum()) for p in params))
+    scale = clip_threshold / norm if clip_threshold is not None and norm > clip_threshold else 1.0
+    return norm, [p.data - learning_rate * scale * p.grad for p in params]
+
+
+@pytest.mark.parametrize("grad_scale, clip", [(1.0, 1.0), (0.01, 1.0), (1.0, None), (1e200, 1.0)])
+def test_sgd_update_is_bitwise_the_reference_formula(grad_scale, clip):
+    params = _three_parameters(seed=3, grad_scale=grad_scale)
+    with np.errstate(over="ignore"):  # squares of 1e200 overflow; the norm is then inf and the step 0
+        norm, expected = _reference_sgd_step(params, 0.7, clip)
+        assert nm.sgd_step(params, learning_rate=0.7, clip_threshold=clip) == norm
+    for p, want in zip(params, expected):
+        assert np.array_equal(p.data, want)
+        assert not p.grad.any()
+
+
 # --- grad_check ----------------------------------------------------------------
 
 def test_grad_check_quadratic():

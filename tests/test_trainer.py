@@ -105,6 +105,27 @@ def test_early_stopping_respects_patience(small_split, small_vocab, lex):
         assert len(hist.epochs) - 1 - hist.best_epoch == 2
 
 
+@pytest.mark.parametrize("valid_totals, best", [((5.0, 3.0, 4.0, 6.0), 1), ((5.0, 4.0, 3.0, 2.0), 3)])
+def test_train_returns_the_best_epoch_weights(monkeypatch, small_split, small_vocab, lex, valid_totals, best):
+    from emoexplain import trainer
+
+    seen = []  # the weights each validation pass saw, and the losses it reports
+    mean_losses = trainer._mean_losses
+
+    def scripted(params, prepared, config, batch_size):
+        seen.append([p.data.copy() for p in params.all()])
+        if len(seen) == 1:  # the initial training loss
+            return mean_losses(params, prepared, config, batch_size)
+        return 0.0, 0.0, valid_totals[len(seen) - 2]
+
+    monkeypatch.setattr(trainer, "_mean_losses", scripted)
+    tc = TrainConfig(batch_size=8, max_epochs=4, patience=4, seed=5)
+    params, hist = train(_config(small_vocab), tc, small_split, lex, small_vocab)
+    assert hist.best_epoch == best and len(seen) == 5
+    for p, want in zip(params.all(), seen[best + 1], strict=True):
+        assert np.array_equal(p.data, want)
+
+
 def test_evaluate_loss_after_overfit_run(overfit_setup, lex):
     params, config, vocab, split, _ = overfit_setup
     _, _, total = evaluate_loss(params, list(split.train), config, vocab, lex)
