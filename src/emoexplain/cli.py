@@ -12,13 +12,16 @@ import argparse
 import json
 import os
 import sys
+import typing
 from contextlib import contextmanager
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import numerics as nm
 from .corpus import (
+    SPECIAL_TOKENS,
     DatasetSplit,
     Record,
     Vocabulary,
@@ -52,44 +55,33 @@ PROFILES = {
     "paper": {"embed_dim": 512, "ffn_dim": 2048, "batch_size": 128},
 }
 
+
+def _settable(cls) -> dict:
+    """The fields of ``cls`` that have a default, each mapped to it."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+# ModelConfig and TrainConfig own their keys' names, types and defaults. ModelConfig's
+# fields without a default, the table sizes, come from the vocabulary.
+MODEL_KEYS = tuple(_settable(ModelConfig))
+TRAIN_KEYS = tuple(_settable(TrainConfig))
+
 BASE_DEFAULTS = {
-    "profile": "desk",
-    "seed": 0,
-    "max_len": 32,
-    "encoder_layers": 2,
-    "decoder_layers": 2,
-    "attention_heads": 2,
-    "intensity": 1.0,
-    "c1": 1.0,
-    "c2": 1.0,
-    "mask_emotion_tag": False,
-    "learning_rate": 1.0,
-    "clip": 1.0,
-    "max_epochs": 50,
-    "patience": 5,
-    "max_tokens": 20,
-    "vocab_cap": 20000,
-    "splits": 1,
-    "grad_samples": 200,
+    "profile": "desk", "max_tokens": 20, "vocab_cap": 20000, "splits": 1, "grad_samples": 200,
+    **_settable(ModelConfig), **_settable(TrainConfig),
 }
 
 KEY_TYPES = {
     "records": str, "lexicon": str, "data": str, "out": str, "checkpoint": str,
     "generated": str, "baseline": str, "profile": str, "emotion": str,
-    "seed": int, "max_len": int, "embed_dim": int, "ffn_dim": int,
-    "encoder_layers": int, "decoder_layers": int, "attention_heads": int,
-    "batch_size": int, "max_epochs": int, "patience": int, "max_tokens": int,
-    "vocab_cap": int, "splits": int, "grad_samples": int,
-    "intensity": float, "c1": float, "c2": float, "learning_rate": float, "clip": float,
-    "mask_emotion_tag": bool,
+    "max_tokens": int, "vocab_cap": int, "splits": int, "grad_samples": int,
+    **{key: kind for cls in (ModelConfig, TrainConfig) for key, kind in typing.get_type_hints(cls).items()
+       if key in MODEL_KEYS + TRAIN_KEYS},
 }
 
-
-# Integer keys with a lower bound: counts may be 0, sizes may not.
-LOWER_BOUNDS = {
-    "seed": 0, "max_tokens": 0,
-    **dict.fromkeys(("max_len", "embed_dim", "ffn_dim", "encoder_layers", "decoder_layers", "attention_heads"), 1),
-}
+# Every integer key is a size, at least 1, except the counts, which may be 0.
+LOWER_BOUNDS = {key: 0 if key in ("seed", "max_tokens", "vocab_cap") else 1
+                for key, kind in KEY_TYPES.items() if kind is int}
 
 
 BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -122,7 +114,8 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
+def resolve_config(args: argparse.Namespace, command_defaults: dict | None = None) -> dict:
+    """Resolve base defaults < profile < ``command_defaults`` < ``--config`` file < flags."""
     flags = {
         key: value
         for key, value in vars(args).items()
@@ -134,6 +127,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise ValueError(f"{args.config}: unknown profile {profile!r}; expected one of {sorted(PROFILES)}")
     resolved = dict(BASE_DEFAULTS)
     resolved.update(PROFILES[profile])
+    resolved.update(command_defaults or {})
     resolved.update(file_values)
     resolved.update(flags)
     resolved["profile"] = profile
@@ -147,7 +141,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 def write_resolved_config(out_dir: Path, resolved: dict) -> None:
     lines = [f"{key}={resolved[key]}" for key in sorted(resolved) if resolved[key] is not None]
-    (out_dir / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out_dir / "config.txt", "\n".join(lines) + "\n")
 
 
 @contextmanager
@@ -180,9 +174,13 @@ def _replacing(path: Path):
         tmp.unlink(missing_ok=True)
 
 
-def _write_json(path: Path, payload) -> None:
+def _write_text(path: Path, text: str) -> None:
     with _replacing(path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(text)
+
+
+def _write_json(path: Path, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _require(resolved: dict, *keys: str) -> None:
@@ -225,30 +223,11 @@ def _save_vocab(path: Path, vocab: Vocabulary) -> None:
 
 
 def _model_config(resolved: dict, vocab: Vocabulary) -> ModelConfig:
-    return config_for_vocab(
-        vocab,
-        max_len=resolved["max_len"],
-        embed_dim=resolved["embed_dim"],
-        ffn_dim=resolved["ffn_dim"],
-        encoder_layers=resolved["encoder_layers"],
-        decoder_layers=resolved["decoder_layers"],
-        attention_heads=resolved["attention_heads"],
-        intensity=resolved["intensity"],
-        c1=resolved["c1"],
-        c2=resolved["c2"],
-        mask_emotion_tag=resolved["mask_emotion_tag"],
-    )
+    return config_for_vocab(vocab, **{key: resolved[key] for key in MODEL_KEYS})
 
 
-def _train_config(resolved: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        batch_size=resolved["batch_size"],
-        learning_rate=resolved["learning_rate"],
-        clip=resolved["clip"],
-        max_epochs=resolved["max_epochs"],
-        patience=resolved["patience"],
-        seed=seed,
-    )
+def _train_config(resolved: dict) -> TrainConfig:
+    return TrainConfig(**{key: resolved[key] for key in TRAIN_KEYS})
 
 
 def _load_generated(path: Path) -> list[dict]:
@@ -323,11 +302,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_once(resolved: dict, split: DatasetSplit, lex: Lexicon, vocab: Vocabulary,
-                seed: int, out_dir: Path) -> float:
-    model_config = _model_config(resolved, vocab)
-    train_config = _train_config(resolved, seed)
-    params, history = train(model_config, train_config, split, lex, vocab)
+def _train_once(resolved: dict, split: DatasetSplit, lex: Lexicon, vocab: Vocabulary, out_dir: Path) -> float:
+    params, history = train(_model_config(resolved, vocab), _train_config(resolved), split, lex, vocab)
     nm.save_checkpoint(out_dir / "model.emot", params.all())
     _save_vocab(out_dir / "vocab.json", vocab)
     _write_json(out_dir / "history.json", history.to_dict())
@@ -349,18 +325,18 @@ def cmd_train(args: argparse.Namespace) -> int:
         write_resolved_config(out_dir, resolved)
         if n_repeats <= 1:
             vocab = _load_vocab(data_dir / "vocab.json")
-            _train_once(resolved, base_split, lex, vocab, resolved["seed"], out_dir)
+            _train_once(resolved, base_split, lex, vocab, out_dir)
         else:
             pool = list(base_split.records)
             finals = []
             for r in range(n_repeats):
-                seed_r = resolved["seed"] + r
-                split_r = split_dataset(pool, seed_r)
+                run = {**resolved, "seed": resolved["seed"] + r}
+                split_r = split_dataset(pool, run["seed"])
                 vocab_r = build_vocabulary(list(split_r.train), resolved["vocab_cap"])
                 run_dir = out_dir / f"run{r}"
                 run_dir.mkdir(parents=True, exist_ok=True)
-                write_resolved_config(run_dir, {**resolved, "seed": seed_r})
-                finals.append(_train_once(resolved, split_r, lex, vocab_r, seed_r, run_dir))
+                write_resolved_config(run_dir, run)
+                finals.append(_train_once(run, split_r, lex, vocab_r, run_dir))
             _write_json(out_dir / "summary.json", {
                 "runs": finals,
                 "mean_valid_total": float(np.mean(finals)),
@@ -386,8 +362,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     config_path = _beside_checkpoint(checkpoint, "config.txt")
     stored = _read_config_file(str(config_path))
-    for key in ("max_len", "embed_dim", "ffn_dim", "encoder_layers", "decoder_layers",
-                "attention_heads", "intensity", "c1", "c2", "mask_emotion_tag"):
+    for key in MODEL_KEYS:
         if key in stored and getattr(args, key, None) is None:
             resolved[key] = stored[key]
 
@@ -453,7 +428,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         write_resolved_config(out_dir, resolved)
         _write_json(out_dir / "report.json", report_to_dict(report))
         table = report_table([("generated", report)])
-        (out_dir / "report.txt").write_text(table, encoding="utf-8")
+        _write_text(out_dir / "report.txt", table)
     print(table, end="")
     return 0
 
@@ -494,7 +469,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     with output_lock(out_dir):
         write_resolved_config(out_dir, resolved)
         _write_json(out_dir / "audit.json", payload)
-        (out_dir / "audit.txt").write_text(table, encoding="utf-8")
+        _write_text(out_dir / "audit.txt", table)
     print(table, end="")
     return 0
 
@@ -509,7 +484,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     vocab = _load_vocab(data_dir / "vocab.json")
     rows = ablation_grid(
         _model_config(resolved, vocab),
-        _train_config(resolved, resolved["seed"]),
+        _train_config(resolved),
         split, lex, vocab, max_tokens=resolved["max_tokens"],
     )
 
@@ -528,35 +503,21 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     with output_lock(out_dir):
         write_resolved_config(out_dir, resolved)
         _write_json(out_dir / "ablation.json", {"cells": rows})
-        (out_dir / "ablation.txt").write_text(table, encoding="utf-8")
+        _write_text(out_dir / "ablation.txt", table)
     print(table, end="")
     return 0
 
 
 GRADCHECK_WORDS = ("bar", "lobby", "nice", "pool", "quiet", "room", "spa", "view", "walk", "warm")
+# gradcheck's model is tiny unless its config file or flags say otherwise.
+GRADCHECK_SIZES = {"max_len": 8, "embed_dim": 8, "ffn_dim": 16}
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    resolved = resolve_config(args)
-    vocab = Vocabulary(
-        id_to_token=tuple(["<bos>", "<eos>", "<pad>", "<unk>",
-                           "<happy>", "<angry>", "<surprise>", "<sad>", "<fear>", "<neutral>"])
-        + GRADCHECK_WORDS,
-        id_to_user=("u000", "u001"),
-        id_to_item=("i000", "i001"),
-    )
-    config = ModelConfig(
-        n_tokens=vocab.n_tokens,
-        n_users=2,
-        n_items=2,
-        max_len=args.max_len if args.max_len is not None else 8,
-        embed_dim=args.embed_dim if args.embed_dim is not None else 8,
-        ffn_dim=args.ffn_dim if args.ffn_dim is not None else 16,
-        attention_heads=resolved["attention_heads"],
-        intensity=resolved["intensity"],
-        c1=resolved["c1"],
-        c2=resolved["c2"],
-    )
+    resolved = resolve_config(args, GRADCHECK_SIZES)
+    vocab = Vocabulary(id_to_token=SPECIAL_TOKENS + GRADCHECK_WORDS,
+                       id_to_user=("u000", "u001"), id_to_item=("i000", "i001"))
+    config = _model_config(resolved, vocab)
     lex = fixture_lexicon()
     record = Record(user="u000", item="i001", features=("lobby",),
                     explanation="nice warm bar", emotion="happy")
@@ -587,28 +548,23 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _add_typed(sub: argparse.ArgumentParser, *keys: str, **kwargs) -> None:
+    """One ``--key-name`` flag per key, parsed as the key's type in ``KEY_TYPES``."""
+    for key in keys:
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=KEY_TYPES[key], **kwargs)
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--profile", choices=sorted(PROFILES), help="configuration profile")
-    sub.add_argument("--seed", type=int)
+    _add_typed(sub, "seed")
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--intensity", type=float)
-    sub.add_argument("--c1", type=float)
-    sub.add_argument("--c2", type=float)
+    _add_typed(sub, "intensity", "c1", "c2")
     sub.add_argument("--records", help="JSON-lines record file")
     sub.add_argument("--lexicon", help="tab-separated lexicon file")
-    sub.add_argument("--splits", type=int, help="number of repeated random splits")
-    sub.add_argument("--max-len", dest="max_len", type=int)
-    sub.add_argument("--embed-dim", dest="embed_dim", type=int)
-    sub.add_argument("--ffn-dim", dest="ffn_dim", type=int)
-    sub.add_argument("--attention-heads", dest="attention_heads", type=int)
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--learning-rate", dest="learning_rate", type=float)
-    sub.add_argument("--clip", type=float)
-    sub.add_argument("--max-epochs", dest="max_epochs", type=int)
-    sub.add_argument("--patience", type=int)
-    sub.add_argument("--max-tokens", dest="max_tokens", type=int)
-    sub.add_argument("--vocab-cap", dest="vocab_cap", type=int)
+    _add_typed(sub, "splits", help="number of repeated random splits")
+    _add_typed(sub, "max_len", "embed_dim", "ffn_dim", "attention_heads", "batch_size", "learning_rate",
+               "clip", "max_epochs", "patience", "max_tokens", "vocab_cap")
     sub.add_argument("--mask-emotion-tag", dest="mask_emotion_tag", action="store_const", const=True)
 
 
@@ -650,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     ablate.set_defaults(func=cmd_ablate)
 
     gradcheck = subs.add_parser("gradcheck", help="finite-difference check of the full loss gradient")
-    gradcheck.add_argument("--grad-samples", dest="grad_samples", type=int)
+    _add_typed(gradcheck, "grad_samples")
     gradcheck.set_defaults(func=cmd_gradcheck)
 
     for sub in (prepare, train_cmd, generate, evaluate, audit, ablate, gradcheck):

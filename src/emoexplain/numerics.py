@@ -174,19 +174,6 @@ def tensor_sum(a: Tensor) -> Tensor:
     return _result("tensor_sum", a.data.sum(), (a,), backward_fn)
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Row softmax over the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, p * (g - (g * p).sum(axis=-1, keepdims=True)))
-
-    return _result("softmax", p, (a,), backward_fn)
-
-
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize each row to zero mean / unit variance, then scale and shift."""
     if gamma.data.shape != x.data.shape[-1:] or beta.data.shape != x.data.shape[-1:]:

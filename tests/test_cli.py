@@ -482,3 +482,60 @@ def test_interrupted_generate_keeps_the_earlier_output(tmp_path, prepared_dir, t
     assert (out / "generated.jsonl").read_bytes() == before["generated.jsonl"]
     assert (out / "generation.json").read_bytes() == before["generation.json"]
     assert sorted(path.name for path in out.iterdir()) == sorted(before)
+
+
+@pytest.mark.parametrize("command,artifact", [
+    ("gradcheck", "config.txt"), ("evaluate", "config.txt"), ("evaluate", "report.txt"), ("audit", "audit.txt"),
+])
+def test_write_torn_mid_file_keeps_the_earlier_output(tmp_path, prepared_dir, generated_dir, monkeypatch,
+                                                      command, artifact):
+    from emoexplain import cli
+
+    out = tmp_path / "out"
+    generated = generated_dir / "generated.jsonl"
+    perfect = tmp_path / "perfect.jsonl"  # the references themselves: another report, another audit
+    perfect.write_text("".join(json.dumps({"user": r.user, "item": r.item, "explanation": r.explanation}) + "\n"
+                               for r in load_records(prepared_dir / "test.jsonl")), encoding="utf-8")
+
+    def argv(seed: int, generated_file: Path) -> list[str]:
+        if command == "gradcheck":
+            return ["gradcheck", "--out", str(out), "--grad-samples", "5", "--seed", str(seed)]
+        return [command, "--data", str(prepared_dir), "--generated", str(generated_file),
+                "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(out), "--seed", str(seed)]
+
+    assert main(argv(23, generated)) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert artifact in before
+
+    real_open = open
+    torn = []
+
+    class TornFile:
+        """Writes half of what it is given to the real file, then dies."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            self.handle.flush()
+            torn.append(text)
+            raise KeyboardInterrupt("killed mid-write")
+
+    def open_tearing_the_artifact(path, *args, **kwargs):
+        handle = real_open(path, *args, **kwargs)
+        return TornFile(handle) if Path(path).name == f".{artifact}.tmp" else handle
+
+    monkeypatch.setattr(cli, "open", open_tearing_the_artifact, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv(24, perfect))
+    monkeypatch.undo()
+    assert len(torn) == 1 and torn[0].encode() != before[artifact]
+    assert (out / artifact).read_bytes() == before[artifact]
+    assert sorted(path.name for path in out.iterdir()) == sorted(before)

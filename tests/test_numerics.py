@@ -31,17 +31,6 @@ def test_matmul_transpose_b_matches_numpy():
     assert np.allclose(out.data, a @ b.T)
 
 
-def test_softmax_uniform_on_equal_inputs():
-    out = nm.softmax(Tensor([[0.0, 0.0, 0.0]]))
-    assert np.allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-12)
-
-
-def test_softmax_rows_sum_to_one():
-    rng = np.random.default_rng(1)
-    out = nm.softmax(Tensor(rng.normal(size=(20, 7)) * 10))
-    assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-9)
-
-
 def test_layer_norm_moments():
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=(50, 16)) * 3 + 1)
@@ -434,9 +423,6 @@ def test_primitives_bitwise_deterministic():
     a = nm.attention(Tensor(x), Tensor(x), Tensor(x), n_heads=2).data
     b = nm.attention(Tensor(x), Tensor(x), Tensor(x), n_heads=2).data
     assert np.array_equal(a, b)
-    s1 = nm.softmax(Tensor(x)).data
-    s2 = nm.softmax(Tensor(x)).data
-    assert np.array_equal(s1, s2)
 
 
 # --- checkpoints -----------------------------------------------------------------
