@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import typing
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -41,8 +41,10 @@ from .metrics import (
     audit_table,
     audit_to_dict,
     build_report,
+    compare_distributions,
     debiasing_score,
     emotion_audit,
+    explanation_distribution,
     report_table,
     report_to_dict,
     verify_reference_debiasing,
@@ -144,16 +146,36 @@ def write_resolved_config(out_dir: Path, resolved: dict) -> None:
     _write_text(out_dir / "config.txt", "\n".join(lines) + "\n")
 
 
+def _held(lock: Path) -> bool:
+    """Whether the process whose pid ``lock`` holds may still be running; a lock without a pid counts as held."""
+    try:
+        pid = int(lock.read_text(encoding="ascii"))
+        if pid > 0:
+            os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):  # no such process, or no pid could name one
+        return False
+    except (OSError, ValueError):  # another user's process, or a lock being written or removed
+        pass
+    return True
+
+
 @contextmanager
 def output_lock(out_dir: Path):
+    """Hold ``out_dir/.lock``, which names this process, for the block; a lock left by a dead process is taken over."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
-        handle = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        handle = os.open(lock, flags)
     except FileExistsError:
-        raise ValueError(f"output directory {out_dir} is locked by another run (stale? remove {lock})") from None
-    os.close(handle)
+        if _held(lock):
+            raise ValueError(f"output directory {out_dir} is locked by another run "
+                             f"(remove {lock} if no run uses it)") from None
+        lock.unlink(missing_ok=True)
+        handle = os.open(lock, flags)  # exits 2 naming the lock if another run took it over first
     try:
+        with os.fdopen(handle, "w", encoding="ascii") as fh:
+            fh.write(str(os.getpid()))
         yield
     finally:
         lock.unlink(missing_ok=True)
@@ -161,21 +183,20 @@ def output_lock(out_dir: Path):
 
 @contextmanager
 def _replacing(path: Path):
-    """A text handle on a temporary file beside ``path`` that replaces ``path`` only if the block completes.
+    """A temporary path beside ``path``, renamed onto ``path`` only if the block completes.
 
     An error or kill mid-write leaves any earlier ``path`` as it was.
     """
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
+        yield tmp
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def _write_text(path: Path, text: str) -> None:
-    with _replacing(path) as fh:
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -193,14 +214,15 @@ def _require(resolved: dict, *keys: str) -> None:
 # Shared loading helpers
 # ---------------------------------------------------------------------------
 
-def _load_split_dir(data_dir: Path, seed: int) -> DatasetSplit:
-    parts = []
-    for name in ("train", "valid", "test"):
-        path = data_dir / f"{name}.jsonl"
-        if not path.exists():
-            raise ValueError(f"{data_dir} does not look like a prepared data directory (missing {path.name})")
-        parts.append(tuple(load_records(path)))
-    return DatasetSplit(train=parts[0], valid=parts[1], test=parts[2], seed=seed)
+SPLITS = ("train", "valid", "test")
+
+
+def _load_split_dir(data_dir: Path, *names: str) -> list[tuple[Record, ...]]:
+    """The records of each named split of a prepared directory; the other splits' files must exist, unread."""
+    for name in SPLITS:
+        if not (data_dir / f"{name}.jsonl").exists():
+            raise ValueError(f"{data_dir} does not look like a prepared data directory (missing {name}.jsonl)")
+    return [tuple(load_records(data_dir / f"{name}.jsonl")) for name in names]
 
 
 def _load_vocab(path: Path) -> Vocabulary:
@@ -287,9 +309,9 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     }
 
     with output_lock(out_dir):
-        save_records(out_dir / "train.jsonl", list(split.train))
-        save_records(out_dir / "valid.jsonl", list(split.valid))
-        save_records(out_dir / "test.jsonl", list(split.test))
+        with ExitStack() as renames:  # all three files are written before any is renamed into place
+            for name in SPLITS:
+                save_records(renames.enter_context(_replacing(out_dir / f"{name}.jsonl")), list(getattr(split, name)))
         _save_vocab(out_dir / "vocab.json", vocab)
         _write_json(out_dir / "stats.json", stats)
         write_resolved_config(out_dir, resolved)
@@ -304,7 +326,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def _train_once(resolved: dict, split: DatasetSplit, lex: Lexicon, vocab: Vocabulary, out_dir: Path) -> float:
     params, history = train(_model_config(resolved, vocab), _train_config(resolved), split, lex, vocab)
-    nm.save_checkpoint(out_dir / "model.emot", params.all())
+    with _replacing(out_dir / "model.emot") as tmp:
+        nm.save_checkpoint(tmp, params.all())
     _save_vocab(out_dir / "vocab.json", vocab)
     _write_json(out_dir / "history.json", history.to_dict())
     best = history.epochs[history.best_epoch]
@@ -318,7 +341,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     data_dir = Path(resolved["data"])
     out_dir = Path(resolved["out"])
     lex = load_lexicon(resolved["lexicon"])
-    base_split = _load_split_dir(data_dir, resolved["seed"])
+    base_split = DatasetSplit(*_load_split_dir(data_dir, *SPLITS), seed=resolved["seed"])
     n_repeats = resolved["splits"]
 
     with output_lock(out_dir):
@@ -376,8 +399,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     except ValueError as err:
         raise ValueError(f"{checkpoint}: {err} (model built from {config_path} and {vocab_path})") from None
 
-    split = _load_split_dir(data_dir, resolved["seed"])
-    tagged = assign_emotion_tags(list(split.test), lex)
+    (test,) = _load_split_dir(data_dir, "test")
+    tagged = assign_emotion_tags(list(test), lex)
     queries = [
         GenerationQuery(
             user=rec.user, item=rec.item, features=rec.features,
@@ -398,7 +421,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     with output_lock(out_dir):
         write_resolved_config(out_dir, resolved)
-        with _replacing(out_dir / "generated.jsonl") as fh:
+        with _replacing(out_dir / "generated.jsonl") as tmp, open(tmp, "w", encoding="utf-8") as fh:
             for query, result in zip(queries, results):
                 row = {"user": query.user, "item": query.item, "requested_emotion": query.emotion}
                 if result.tokens is None:
@@ -417,12 +440,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _require(resolved, "generated", "data", "out")
     data_dir = Path(resolved["data"])
     out_dir = Path(resolved["out"])
-    split = _load_split_dir(data_dir, resolved["seed"])
-    texts = _aligned_explanations(Path(resolved["generated"]), split.test)
+    (test,) = _load_split_dir(data_dir, "test")
+    texts = _aligned_explanations(Path(resolved["generated"]), test)
     pairs = [EvaluationPair.from_texts(rec.explanation, text, rec.features)
-             for rec, text in zip(split.test, texts)]
+             for rec, text in zip(test, texts)]
     lex = load_lexicon(resolved["lexicon"]) if resolved.get("lexicon") else None
-    report = build_report(pairs, lex)
+    try:
+        report = build_report(pairs, lex)
+    except ValueError as err:  # the metrics' preconditions are on the test records, e.g. features to match
+        raise ValueError(f"{data_dir / 'test.jsonl'}: {err}") from None
 
     with output_lock(out_dir):
         write_resolved_config(out_dir, resolved)
@@ -439,14 +465,15 @@ def cmd_audit(args: argparse.Namespace) -> int:
     data_dir = Path(resolved["data"])
     out_dir = Path(resolved["out"])
     lex = load_lexicon(resolved["lexicon"])
-    split = _load_split_dir(data_dir, resolved["seed"])
-    gt_texts = [rec.explanation for rec in split.test]
-    audit = emotion_audit(gt_texts, _aligned_explanations(Path(resolved["generated"]), split.test), lex)
+    (test,) = _load_split_dir(data_dir, "test")
+    audit = emotion_audit([rec.explanation for rec in test],
+                          _aligned_explanations(Path(resolved["generated"]), test), lex)
     payload = {"audit": audit_to_dict(audit)}
 
     debias_column = None
     if resolved.get("baseline"):
-        base_audit = emotion_audit(gt_texts, _aligned_explanations(Path(resolved["baseline"]), split.test), lex)
+        base_texts = _aligned_explanations(Path(resolved["baseline"]), test)
+        base_audit = compare_distributions(audit.gt_distribution, explanation_distribution(base_texts, lex))
         debias_column = {}
         for k, name in enumerate(CATEGORIES):
             gt_pct = 100.0 * audit.gt_distribution[k]
@@ -480,7 +507,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     data_dir = Path(resolved["data"])
     out_dir = Path(resolved["out"])
     lex = load_lexicon(resolved["lexicon"])
-    split = _load_split_dir(data_dir, resolved["seed"])
+    split = DatasetSplit(*_load_split_dir(data_dir, *SPLITS), seed=resolved["seed"])
     vocab = _load_vocab(data_dir / "vocab.json")
     rows = ablation_grid(
         _model_config(resolved, vocab),

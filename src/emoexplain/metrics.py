@@ -161,13 +161,18 @@ def emotion_audit(gt_explanations: list, gen_explanations: list, lex: Lexicon) -
     if not gt_explanations:
         raise ValueError("audit needs at least one explanation")
 
-    def as_tokens(entry):
-        return tokenize(entry) if isinstance(entry, str) else list(entry)
+    return compare_distributions(explanation_distribution(gt_explanations, lex),
+                                 explanation_distribution(gen_explanations, lex))
 
-    gt_cats = [classify_explanation(lex, as_tokens(e)) for e in gt_explanations]
-    gen_cats = [classify_explanation(lex, as_tokens(e)) for e in gen_explanations]
-    gt_dist = emotion_distribution(gt_cats)
-    gen_dist = emotion_distribution(gen_cats)
+
+def explanation_distribution(explanations: list, lex: Lexicon) -> tuple[float, ...]:
+    """Six-way distribution of the lexicon categories of explanations given as text or tokens."""
+    return emotion_distribution([
+        classify_explanation(lex, tokenize(e) if isinstance(e, str) else list(e)) for e in explanations])
+
+
+def compare_distributions(gt_dist: tuple[float, ...], gen_dist: tuple[float, ...]) -> EmotionAudit:
+    """The audit of a generated distribution against the ground truth's."""
     bias = tuple(100.0 * (g - t) for g, t in zip(gen_dist, gt_dist))
     l1 = sum(abs(g - t) for g, t in zip(gen_dist, gt_dist))
     return EmotionAudit(gt_distribution=gt_dist, gen_distribution=gen_dist, bias_points=bias, l1_distance=l1)

@@ -500,4 +500,6 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
                 out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
             except ValueError as err:  # a zero extent beside one too large for numpy
                 raise ValueError(f"{path}: parameter {name!r} has unusable shape {shape}: {err}") from None
+            if not np.isfinite(out[name]).all():  # training never saves one; decoding would stop at exit 3
+                raise ValueError(f"{path}: parameter {name!r} holds non-finite values")
     return out

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -204,6 +207,36 @@ def test_lock_file_blocks_concurrent_writers(tmp_path, corpus_file):
         "--out", str(out),
     ])
     assert code == 2
+
+
+def test_lock_file_names_the_running_process(tmp_path):
+    from emoexplain.cli import output_lock
+
+    with output_lock(tmp_path / "out"):
+        assert (tmp_path / "out" / ".lock").read_text() == str(os.getpid())
+    assert not (tmp_path / "out" / ".lock").exists()
+
+
+def _dead_pid() -> int:
+    proc = subprocess.Popen([sys.executable, "-c", ""])
+    proc.wait(timeout=60)
+    return proc.pid
+
+
+@pytest.mark.parametrize("holder,code", [(_dead_pid, 0), (os.getpid, 2)])
+def test_lock_of_a_dead_process_is_reclaimed_and_a_live_one_refused(tmp_path, corpus_file, holder, code):
+    out = tmp_path / "out"
+    out.mkdir()
+    pid = str(holder())
+    (out / ".lock").write_text(pid)
+    assert main([
+        "prepare", "--records", str(corpus_file), "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(out),
+    ]) == code
+    if code == 0:
+        assert not (out / ".lock").exists()
+    else:
+        assert (out / ".lock").read_text() == pid
+        assert not (out / "train.jsonl").exists()
 
 
 def test_gradcheck_exits_zero(capsys):
@@ -486,10 +519,12 @@ def test_interrupted_generate_keeps_the_earlier_output(tmp_path, prepared_dir, t
 
 @pytest.mark.parametrize("command,artifact", [
     ("gradcheck", "config.txt"), ("evaluate", "config.txt"), ("evaluate", "report.txt"), ("audit", "audit.txt"),
+    ("prepare", "train.jsonl"), ("prepare", "valid.jsonl"), ("prepare", "test.jsonl"), ("train", "model.emot"),
 ])
-def test_write_torn_mid_file_keeps_the_earlier_output(tmp_path, prepared_dir, generated_dir, monkeypatch,
+def test_write_torn_mid_file_keeps_the_earlier_output(tmp_path, corpus_file, prepared_dir, generated_dir, monkeypatch,
                                                       command, artifact):
-    from emoexplain import cli
+    from emoexplain import cli, corpus
+    from emoexplain import numerics as nm
 
     out = tmp_path / "out"
     generated = generated_dir / "generated.jsonl"
@@ -500,6 +535,13 @@ def test_write_torn_mid_file_keeps_the_earlier_output(tmp_path, prepared_dir, ge
     def argv(seed: int, generated_file: Path) -> list[str]:
         if command == "gradcheck":
             return ["gradcheck", "--out", str(out), "--grad-samples", "5", "--seed", str(seed)]
+        if command == "prepare":
+            return ["prepare", "--records", str(corpus_file), "--lexicon", str(FIXTURE_LEXICON_PATH),
+                    "--out", str(out), "--seed", str(seed)]
+        if command == "train":
+            return ["train", "--data", str(prepared_dir), "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(out),
+                    "--seed", str(seed), "--embed-dim", "8", "--ffn-dim", "16", "--batch-size", "8",
+                    "--max-epochs", "1", "--patience", "1"]
         return [command, "--data", str(prepared_dir), "--generated", str(generated_file),
                 "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(out), "--seed", str(seed)]
 
@@ -532,10 +574,13 @@ def test_write_torn_mid_file_keeps_the_earlier_output(tmp_path, prepared_dir, ge
         handle = real_open(path, *args, **kwargs)
         return TornFile(handle) if Path(path).name == f".{artifact}.tmp" else handle
 
-    monkeypatch.setattr(cli, "open", open_tearing_the_artifact, raising=False)
+    for writer in (cli, corpus, nm):  # the modules whose writers open the temporary file
+        monkeypatch.setattr(writer, "open", open_tearing_the_artifact, raising=False)
     with pytest.raises(KeyboardInterrupt):
         main(argv(24, perfect))
     monkeypatch.undo()
-    assert len(torn) == 1 and torn[0].encode() != before[artifact]
+    assert len(torn) == 1 and (torn[0] if isinstance(torn[0], bytes) else torn[0].encode()) != before[artifact]
     assert (out / artifact).read_bytes() == before[artifact]
     assert sorted(path.name for path in out.iterdir()) == sorted(before)
+    if command == "prepare":  # the three record files are renamed into place together, after all are written
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before

@@ -1,9 +1,10 @@
 """Hostile-input fuzzers for the CLI readers.
 
 Each property drives ``cli.main`` with arbitrary content in one input file: a
-``generated.jsonl`` (through ``evaluate`` and ``audit``), a ``--config`` file,
-the ``vocab.json`` beside a checkpoint, or the records or lexicon file of
-``prepare``.  Whatever the content, the command exits 0 or 2, no exception
+``generated.jsonl`` or the ``test.jsonl`` it is scored against (through
+``evaluate`` and ``audit``), a ``--config`` file, a checkpoint or the
+``vocab.json`` beside it (through ``generate``), or the records or lexicon file
+of ``prepare``.  Whatever the content, the command exits 0 or 2, no exception
 escapes, and an exit-2 message names the file.
 """
 
@@ -12,12 +13,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
+import shutil
+import struct
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+from emoexplain import numerics as nm
 from emoexplain.cli import KEY_TYPES, main
 from emoexplain.corpus import generate_synthetic_corpus, load_records, save_records
 from emoexplain.fixtures import pool_corpus_spec
@@ -132,6 +137,62 @@ def test_checkpoint_vocab_fuzz(workspace, content):
           "--lexicon", FIXTURE_LEXICON_PATH, "--out", workspace / "out-generate", "--max-tokens", "3"], path)
 
 
+def _checkpoint_fields(data: bytes) -> tuple[list[tuple[int, int]], list[int]]:
+    """The (offset, width) of each header field of a checkpoint, and the offset of each parameter's first value."""
+    fields, values = [(4, 4)], []
+    at = 8
+    while at < len(data):
+        (name_len,) = struct.unpack_from("<I", data, at)
+        fields += [(at, 4), (at + 4, name_len)]
+        at += 4 + name_len
+        (rank,) = struct.unpack_from("<I", data, at)
+        shape = struct.unpack_from(f"<{rank}Q", data, at + 4)
+        fields += [(at, 4), *((at + 4 + 8 * i, 8) for i in range(rank))]
+        at += 4 + 8 * rank
+        values.append(at)
+        at += 8 * math.prod(shape)
+    return fields, values
+
+
+def _damaged(data: bytes, damage: tuple) -> bytes:
+    if damage[0] == "cut":
+        return data[: damage[1] % (len(data) + 1)]
+    fields, values = _checkpoint_fields(data)
+    if damage[0] == "field":
+        offset, width = fields[damage[1] % len(fields)]
+        chunk = damage[2][:width]
+    else:
+        offset, chunk = values[damage[1] % len(values)], struct.pack("<d", damage[2])
+    return data[:offset] + chunk + data[offset + len(chunk):]
+
+
+@FUZZ
+@given(damage=st.one_of(
+    st.binary(),
+    st.tuples(st.just("cut"), st.integers(min_value=0)),
+    st.tuples(st.just("field"), st.integers(min_value=0), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("value"), st.integers(min_value=0), st.sampled_from([math.nan, math.inf, -math.inf])),
+))
+@example(damage=b"EMOT\x01\x00\x00\x00")
+@example(damage=("field", 2, b"\xff\xff\xff\xff"))
+@example(damage=("value", 0, math.nan))
+def test_checkpoint_file_fuzz(workspace, damage):
+    """Arbitrary bytes, or the trained checkpoint cut short, with a header field overwritten or a value non-finite."""
+    real = (workspace / "run" / "model.emot").read_bytes()
+    ckpt = workspace / "ckpt-fuzz"
+    ckpt.mkdir(exist_ok=True)
+    for name in ("vocab.json", "config.txt"):
+        (ckpt / name).write_bytes((workspace / "run" / name).read_bytes())
+    path = ckpt / "model.emot"
+    path.write_bytes(damage if isinstance(damage, bytes) else _damaged(real, damage))
+    try:
+        assert isinstance(nm.load_checkpoint(path), dict)
+    except ValueError as err:
+        assert str(path) in str(err)
+    _run(["generate", "--data", workspace / "data", "--checkpoint", path, "--lexicon", FIXTURE_LEXICON_PATH,
+          "--out", workspace / "out-generate-ckpt", "--max-tokens", "3"], path)
+
+
 def _record_lines():
     """Arbitrary bytes, or lines of arbitrary JSON that may form records."""
     record_values = st.recursive(
@@ -171,3 +232,27 @@ def test_lexicon_file_fuzz(workspace, content):
     path.write_bytes(content)
     _run(["prepare", "--records", workspace / "records.jsonl", "--lexicon", path,
           "--out", workspace / "out-prepare-lexicon", "--seed", "5"], path)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "audit"])
+@FUZZ
+@given(content=_record_lines())
+@example(content=b"[" * 100_000)
+@example(content=b'{"user": "u", "item": "i", "features": [""], "explanation": "no feature to match"}\n')
+@example(content=b'{"user": "u", "item": "i", "features": ["pool"], "explanation": "pool"}\n\xff\n')
+def test_test_split_fuzz(workspace, command, content):
+    """Arbitrary bytes as the test split; the generated file aligns with whatever records it holds."""
+    data = workspace / f"data-{command}"
+    if not data.exists():
+        shutil.copytree(workspace / "data", data)
+    path = data / "test.jsonl"
+    path.write_bytes(content)
+    try:
+        records = load_records(path)
+    except ValueError:
+        records = []
+    generated = workspace / f"aligned-{command}.jsonl"
+    generated.write_text("".join(json.dumps({"user": r.user, "item": r.item, "explanation": other.explanation}) + "\n"
+                                 for r, other in zip(records, records[1:] + records[:1])), encoding="utf-8")
+    _run([command, "--data", data, "--generated", generated, "--lexicon", FIXTURE_LEXICON_PATH,
+          "--out", workspace / f"out-test-{command}", "--seed", "5"], path)
