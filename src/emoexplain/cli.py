@@ -2,7 +2,7 @@
 
 Every command resolves its configuration as profile defaults < config file <
 command-line flags, writes the resolved key=value config next to its outputs,
-and is reproducible from that file alone.  Exit codes: 0 success, 2 usage or
+after them, and is reproducible from that file alone.  Exit codes: 0 success, 2 usage or
 invalid input, 3 numeric failure, 4 threshold failure.
 """
 
@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import typing
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -37,6 +37,8 @@ from .fixtures import fixture_lexicon
 from .generator import GenerationQuery, batch_generate
 from .lexicon import CATEGORIES, Lexicon, load_lexicon, text_lines
 from .metrics import (
+    REPORT_COLUMNS,
+    REPORT_KEYS,
     EvaluationPair,
     audit_table,
     audit_to_dict,
@@ -141,9 +143,8 @@ def resolve_config(args: argparse.Namespace, command_defaults: dict | None = Non
     return resolved
 
 
-def write_resolved_config(out_dir: Path, resolved: dict) -> None:
-    lines = [f"{key}={resolved[key]}" for key in sorted(resolved) if resolved[key] is not None]
-    _write_text(out_dir / "config.txt", "\n".join(lines) + "\n")
+def _config_text(resolved: dict) -> str:
+    return "".join(f"{key}={resolved[key]}\n" for key in sorted(resolved) if resolved[key] is not None)
 
 
 def _held(lock: Path) -> bool:
@@ -182,21 +183,36 @@ def output_lock(out_dir: Path):
 
 
 @contextmanager
-def _replacing(path: Path):
-    """A temporary path beside ``path``, renamed onto ``path`` only if the block completes.
+def _outputs(out_dir: Path, resolved: dict):
+    """Hold ``out_dir``'s lock and yield ``stage(name)``, a temporary path for the output ``out_dir/name``.
 
-    An error or kill mid-write leaves any earlier ``path`` as it was.
+    Once the block completes, ``resolved`` is staged as ``config.txt`` and every staged file renamed into
+    place, each ``config.txt`` removed first and renamed last: a ``config.txt`` is absent or describes every
+    file beside it. Until then the earlier outputs stay as they were; no temporary file outlives the block.
     """
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    staged = {}
+
+    def stage(name: str) -> Path:
+        path = out_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return staged.setdefault(path, path.with_name(f".{path.name}.tmp"))
+
+    with output_lock(out_dir):
+        try:
+            yield stage
+            _write_text(stage("config.txt"), _config_text(resolved))
+            configs = [path for path in staged if path.name == "config.txt"]
+            for path in configs:
+                path.unlink(missing_ok=True)
+            for path in sorted(staged, key=lambda path: path in configs):
+                os.replace(staged[path], path)
+        finally:
+            for tmp in staged.values():
+                tmp.unlink(missing_ok=True)
 
 
 def _write_text(path: Path, text: str) -> None:
-    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -308,13 +324,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         "words_per_explanation": sum(words) / len(words),
     }
 
-    with output_lock(out_dir):
-        with ExitStack() as renames:  # all three files are written before any is renamed into place
-            for name in SPLITS:
-                save_records(renames.enter_context(_replacing(out_dir / f"{name}.jsonl")), list(getattr(split, name)))
-        _save_vocab(out_dir / "vocab.json", vocab)
-        _write_json(out_dir / "stats.json", stats)
-        write_resolved_config(out_dir, resolved)
+    with _outputs(out_dir, resolved) as stage:
+        for name in SPLITS:
+            save_records(stage(f"{name}.jsonl"), list(getattr(split, name)))
+        _save_vocab(stage("vocab.json"), vocab)
+        _write_json(stage("stats.json"), stats)
 
     print(f"#users {stats['users']}")
     print(f"#items {stats['items']}")
@@ -324,14 +338,14 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_once(resolved: dict, split: DatasetSplit, lex: Lexicon, vocab: Vocabulary, out_dir: Path) -> float:
+def _train_once(resolved: dict, split: DatasetSplit, lex: Lexicon, vocab: Vocabulary, stage, run: str = "") -> float:
+    """Train one model; stage its checkpoint, vocabulary and history under ``run``, "" or "runR/"."""
     params, history = train(_model_config(resolved, vocab), _train_config(resolved), split, lex, vocab)
-    with _replacing(out_dir / "model.emot") as tmp:
-        nm.save_checkpoint(tmp, params.all())
-    _save_vocab(out_dir / "vocab.json", vocab)
-    _write_json(out_dir / "history.json", history.to_dict())
+    nm.save_checkpoint(stage(f"{run}model.emot"), params.all())
+    _save_vocab(stage(f"{run}vocab.json"), vocab)
+    _write_json(stage(f"{run}history.json"), history.to_dict())
     best = history.epochs[history.best_epoch]
-    print(f"{out_dir}: best epoch {history.best_epoch} valid L_total {best.valid_total:.4f}")
+    print(f"{Path(resolved['out']) / run}: best epoch {history.best_epoch} valid L_total {best.valid_total:.4f}")
     return best.valid_total
 
 
@@ -344,11 +358,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     base_split = DatasetSplit(*_load_split_dir(data_dir, *SPLITS), seed=resolved["seed"])
     n_repeats = resolved["splits"]
 
-    with output_lock(out_dir):
-        write_resolved_config(out_dir, resolved)
+    with _outputs(out_dir, resolved) as stage:
         if n_repeats <= 1:
             vocab = _load_vocab(data_dir / "vocab.json")
-            _train_once(resolved, base_split, lex, vocab, out_dir)
+            _train_once(resolved, base_split, lex, vocab, stage)
         else:
             pool = list(base_split.records)
             finals = []
@@ -356,11 +369,9 @@ def cmd_train(args: argparse.Namespace) -> int:
                 run = {**resolved, "seed": resolved["seed"] + r}
                 split_r = split_dataset(pool, run["seed"])
                 vocab_r = build_vocabulary(list(split_r.train), resolved["vocab_cap"])
-                run_dir = out_dir / f"run{r}"
-                run_dir.mkdir(parents=True, exist_ok=True)
-                write_resolved_config(run_dir, run)
-                finals.append(_train_once(run, split_r, lex, vocab_r, run_dir))
-            _write_json(out_dir / "summary.json", {
+                finals.append(_train_once(run, split_r, lex, vocab_r, stage, f"run{r}/"))
+                _write_text(stage(f"run{r}/config.txt"), _config_text(run))
+            _write_json(stage("summary.json"), {
                 "runs": finals,
                 "mean_valid_total": float(np.mean(finals)),
                 "std_valid_total": float(np.std(finals)),
@@ -419,18 +430,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "stop": {reason: sum(r.stop == reason for r in done) for reason in ("eos", "max_tokens", "length_budget")},
     }
 
-    with output_lock(out_dir):
-        write_resolved_config(out_dir, resolved)
-        with _replacing(out_dir / "generated.jsonl") as tmp, open(tmp, "w", encoding="utf-8") as fh:
-            for query, result in zip(queries, results):
-                row = {"user": query.user, "item": query.item, "requested_emotion": query.emotion}
-                if result.tokens is None:
-                    row["explanation"] = ""
-                    row["error"] = result.error
-                else:
-                    row["explanation"] = " ".join(result.tokens)
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-        _write_json(out_dir / "generation.json", summary)
+    with _outputs(out_dir, resolved) as stage, open(stage("generated.jsonl"), "w", encoding="utf-8") as fh:
+        for query, result in zip(queries, results):
+            row = {"user": query.user, "item": query.item, "requested_emotion": query.emotion}
+            if result.tokens is None:
+                row["explanation"] = ""
+                row["error"] = result.error
+            else:
+                row["explanation"] = " ".join(result.tokens)
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        _write_json(stage("generation.json"), summary)
     print(f"generated {len(results)} explanations ({failures} failed) -> {out_dir / 'generated.jsonl'}")
     return 0
 
@@ -450,11 +459,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except ValueError as err:  # the metrics' preconditions are on the test records, e.g. features to match
         raise ValueError(f"{data_dir / 'test.jsonl'}: {err}") from None
 
-    with output_lock(out_dir):
-        write_resolved_config(out_dir, resolved)
-        _write_json(out_dir / "report.json", report_to_dict(report))
-        table = report_table([("generated", report)])
-        _write_text(out_dir / "report.txt", table)
+    table = report_table([("generated", report)])
+    with _outputs(out_dir, resolved) as stage:
+        _write_json(stage("report.json"), report_to_dict(report))
+        _write_text(stage("report.txt"), table)
     print(table, end="")
     return 0
 
@@ -493,10 +501,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
             print(f"warning: {warning}", file=sys.stderr)
 
     table = audit_table(audit, debias_column)
-    with output_lock(out_dir):
-        write_resolved_config(out_dir, resolved)
-        _write_json(out_dir / "audit.json", payload)
-        _write_text(out_dir / "audit.txt", table)
+    with _outputs(out_dir, resolved) as stage:
+        _write_json(stage("audit.json"), payload)
+        _write_text(stage("audit.txt"), table)
     print(table, end="")
     return 0
 
@@ -515,22 +522,15 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         split, lex, vocab, max_tokens=resolved["max_tokens"],
     )
 
-    lines = ["loss_setting      intensity  " + "  ".join(f"{c:>7}" for c in (
-        "FMR", "FCR", "DIV", "USR", "BLEU-1", "BLEU-4",
-        "R1-P", "R1-R", "R1-F", "R2-P", "R2-R", "R2-F"))]
+    lines = ["loss_setting      intensity  " + "  ".join(f"{c:>7}" for c in REPORT_COLUMNS)]
     for row in rows:
-        values = [row["fmr"], row["fcr"], row["div"], row["usr"], row["bleu1"], row["bleu4"],
-                  row["rouge1_p"], row["rouge1_r"], row["rouge1_f"],
-                  row["rouge2_p"], row["rouge2_r"], row["rouge2_f"]]
-        lines.append(
-            f"{row['loss_setting']:<16}  {row['intensity']:>9.1f}  "
-            + "  ".join(f"{v:7.2f}" for v in values))
+        lines.append(f"{row['loss_setting']:<16}  {row['intensity']:>9.1f}  "
+                     + "  ".join(f"{row[key]:7.2f}" for key in REPORT_KEYS))
     table = "\n".join(lines) + "\n"
 
-    with output_lock(out_dir):
-        write_resolved_config(out_dir, resolved)
-        _write_json(out_dir / "ablation.json", {"cells": rows})
-        _write_text(out_dir / "ablation.txt", table)
+    with _outputs(out_dir, resolved) as stage:
+        _write_json(stage("ablation.json"), {"cells": rows})
+        _write_text(stage("ablation.txt"), table)
     print(table, end="")
     return 0
 
@@ -560,10 +560,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     )
     print(f"gradcheck: max relative error {error:.3e} over >= {resolved['grad_samples']} coordinates")
     if resolved.get("out"):
-        out_dir = Path(resolved["out"])
-        with output_lock(out_dir):
-            write_resolved_config(out_dir, resolved)
-            _write_json(out_dir / "gradcheck.json", {
+        with _outputs(Path(resolved["out"]), resolved) as stage:
+            _write_json(stage("gradcheck.json"), {
                 "max_relative_error": error, "threshold": 1e-3, "passed": error < 1e-3})
     if error >= 1e-3:
         print("gradcheck: FAIL (threshold 1e-3)", file=sys.stderr)

@@ -279,21 +279,7 @@ def build_report(pairs: list[EvaluationPair], lex: Lexicon | None = None) -> Eva
 
 
 def report_to_dict(report: EvaluationReport) -> dict:
-    out = {
-        "header": REPORT_HEADER,
-        "fmr": report.fmr,
-        "fcr": report.fcr,
-        "div": report.div,
-        "usr": report.usr,
-        "bleu1": report.bleu1,
-        "bleu4": report.bleu4,
-        "rouge1_p": report.rouge1[0],
-        "rouge1_r": report.rouge1[1],
-        "rouge1_f": report.rouge1[2],
-        "rouge2_p": report.rouge2[0],
-        "rouge2_r": report.rouge2[1],
-        "rouge2_f": report.rouge2[2],
-    }
+    out = {"header": REPORT_HEADER, **dict(zip(REPORT_KEYS, _report_values(report)))}
     if report.audit is not None:
         out["emotion_audit"] = audit_to_dict(report.audit)
     return out
@@ -312,6 +298,11 @@ def audit_to_dict(audit: EmotionAudit) -> dict:
 REPORT_COLUMNS = (
     "FMR", "FCR", "DIV", "USR", "BLEU-1", "BLEU-4",
     "R1-P", "R1-R", "R1-F", "R2-P", "R2-R", "R2-F",
+)
+# report_to_dict's key for each of REPORT_COLUMNS
+REPORT_KEYS = (
+    "fmr", "fcr", "div", "usr", "bleu1", "bleu4",
+    "rouge1_p", "rouge1_r", "rouge1_f", "rouge2_p", "rouge2_r", "rouge2_f",
 )
 
 

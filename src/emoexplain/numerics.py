@@ -477,9 +477,9 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             # Lengths come from the file, so check them against what is left
             # before asking read() for that many bytes.
             left = size - fh.tell()
-            if count > left:
+            if count > left:  # a damaged rank can declare a count too long to print
                 raise ValueError(f"{path}: truncated checkpoint while reading {what} "
-                                 f"({count} bytes declared, {left} left)")
+                                 f"({count if count < 2**64 else 'over 2**64'} bytes declared, {left} left)")
             return fh.read(count)
 
         if fh.read(4) != CHECKPOINT_MAGIC:

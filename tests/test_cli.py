@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -517,37 +518,134 @@ def test_interrupted_generate_keeps_the_earlier_output(tmp_path, prepared_dir, t
     assert sorted(path.name for path in out.iterdir()) == sorted(before)
 
 
+SMALL_MODEL = ["--embed-dim", "8", "--ffn-dim", "16", "--batch-size", "8", "--max-epochs", "1", "--patience", "1"]
+COMMANDS = ("prepare", "train", "train-splits", "generate", "evaluate", "audit", "ablate", "gradcheck")
+
+
+@pytest.fixture(scope="module")
+def command_argv(tmp_path_factory, corpus_file, prepared_dir, trained_dir, generated_dir):
+    """``argv(command, out, rerun)`` runs one of ``COMMANDS`` into ``out``; a rerun has another seed and inputs."""
+    perfect = tmp_path_factory.mktemp("perfect") / "generated.jsonl"  # the references: another report and audit
+    perfect.write_text("".join(json.dumps({"user": r.user, "item": r.item, "explanation": r.explanation}) + "\n"
+                               for r in load_records(prepared_dir / "test.jsonl")), encoding="utf-8")
+    lexicon = str(FIXTURE_LEXICON_PATH)
+    generated = str(generated_dir / "generated.jsonl")
+
+    def argv(command: str, out: Path, rerun: bool = False) -> list[str]:
+        common = ["--out", str(out), "--seed", "24" if rerun else "23"]
+        data = ["--data", str(prepared_dir), "--lexicon", lexicon, *common]
+        scored = ["--generated", str(perfect) if rerun else generated]
+        return {
+            "prepare": ["prepare", "--records", str(corpus_file), "--lexicon", lexicon, *common],
+            "train": ["train", *data, *SMALL_MODEL],
+            "train-splits": ["train", *data, *SMALL_MODEL, "--splits", "2"],
+            "generate": ["generate", *data, "--checkpoint", str(trained_dir / "model.emot"),
+                         *(["--max-tokens", "0", "--emotion", "angry"] if rerun else ["--max-tokens", "3"])],
+            "evaluate": ["evaluate", *data, *scored],
+            "audit": ["audit", *data, *scored, "--baseline", generated],
+            "ablate": ["ablate", *data, *SMALL_MODEL, "--max-tokens", "3"],
+            "gradcheck": ["gradcheck", "--grad-samples", "5", *common],
+        }[command]
+
+    return argv
+
+
+def _tree(out: Path) -> dict[str, bytes]:
+    """Every file under ``out``, by its path relative to ``out``."""
+    return {path.relative_to(out).as_posix(): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_failed_rerun_keeps_every_earlier_output(tmp_path, command_argv, monkeypatch, command):
+    """A rerun that fails before its commit, e.g. after ``prepare``'s record files, changes no file, ``config.txt``
+    included."""
+    from emoexplain import cli
+
+    out = tmp_path / "out"
+    write_json = cli._write_json
+    calls = []
+
+    def counting(path, payload):
+        calls.append(path)
+        write_json(path, payload)
+
+    monkeypatch.setattr(cli, "_write_json", counting)
+    assert main(command_argv(command, out)) == 0
+    before = _tree(out)
+    assert "config.txt" in before and len(before) > 1
+    writes = len(calls)
+    assert writes >= 1
+
+    for k in range(1, writes + 1):  # a rerun whose k-th JSON output fails
+        calls.clear()
+
+        def fails_on_the_kth(path, payload):
+            calls.append(path)
+            if len(calls) == k:
+                raise OSError(f"{path}: no space left on device")
+            write_json(path, payload)
+
+        monkeypatch.setattr(cli, "_write_json", fails_on_the_kth)
+        assert main(command_argv(command, out, rerun=True)) == 2
+        assert _tree(out) == before, f"JSON write {k} of {writes}"
+
+
+def _restore(out: Path, tree: dict[str, bytes]) -> None:
+    shutil.rmtree(out)
+    for name, data in tree.items():
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_bytes(data)
+
+
+@pytest.mark.parametrize("command", ["prepare", "evaluate", "train-splits"])
+def test_interrupted_commit_leaves_no_config_newer_than_its_neighbours(tmp_path, command_argv, monkeypatch, command):
+    """A rename failing mid-commit leaves each ``config.txt`` absent, or beside files of its own run only."""
+    from emoexplain import cli
+
+    out = tmp_path / "out"
+    assert main(command_argv(command, out)) == 0
+    first = _tree(out)
+    assert main(command_argv(command, out, rerun=True)) == 0
+    second = _tree(out)
+    assert second.keys() == first.keys() and second["config.txt"] != first["config.txt"]
+    replace = cli.os.replace
+    for k in range(1, len(first) + 1):  # the commit renames each output once
+        _restore(out, first)
+        renames = []
+
+        def fails_on_the_kth(src, dst):
+            renames.append(dst)
+            if len(renames) == k:
+                raise OSError(f"{dst}: killed mid-commit")
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", fails_on_the_kth)
+        assert main(command_argv(command, out, rerun=True)) == 2
+        monkeypatch.setattr(cli.os, "replace", replace)
+        after = _tree(out)
+        assert after.keys() <= first.keys(), "a temporary file was left behind"
+        for config in (name for name in after if name.rsplit("/", 1)[-1] == "config.txt"):
+            run = config[: -len("config.txt")]
+            beside = {name: data for name, data in after.items() if name.startswith(run)}
+            assert beside in ({name: first[name] for name in beside}, {name: second[name] for name in beside}), (
+                f"{config} after rename {k} of {len(first)} failed")
+
+
 @pytest.mark.parametrize("command,artifact", [
     ("gradcheck", "config.txt"), ("evaluate", "config.txt"), ("evaluate", "report.txt"), ("audit", "audit.txt"),
     ("prepare", "train.jsonl"), ("prepare", "valid.jsonl"), ("prepare", "test.jsonl"), ("train", "model.emot"),
+    ("train", "history.json"), ("train-splits", "run0/vocab.json"), ("train-splits", "run0/config.txt"),
+    ("generate", "generated.jsonl"), ("generate", "generation.json"),
 ])
-def test_write_torn_mid_file_keeps_the_earlier_output(tmp_path, corpus_file, prepared_dir, generated_dir, monkeypatch,
-                                                      command, artifact):
+def test_write_torn_mid_file_keeps_the_earlier_output(tmp_path, command_argv, monkeypatch, command, artifact):
     from emoexplain import cli, corpus
     from emoexplain import numerics as nm
 
     out = tmp_path / "out"
-    generated = generated_dir / "generated.jsonl"
-    perfect = tmp_path / "perfect.jsonl"  # the references themselves: another report, another audit
-    perfect.write_text("".join(json.dumps({"user": r.user, "item": r.item, "explanation": r.explanation}) + "\n"
-                               for r in load_records(prepared_dir / "test.jsonl")), encoding="utf-8")
-
-    def argv(seed: int, generated_file: Path) -> list[str]:
-        if command == "gradcheck":
-            return ["gradcheck", "--out", str(out), "--grad-samples", "5", "--seed", str(seed)]
-        if command == "prepare":
-            return ["prepare", "--records", str(corpus_file), "--lexicon", str(FIXTURE_LEXICON_PATH),
-                    "--out", str(out), "--seed", str(seed)]
-        if command == "train":
-            return ["train", "--data", str(prepared_dir), "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(out),
-                    "--seed", str(seed), "--embed-dim", "8", "--ffn-dim", "16", "--batch-size", "8",
-                    "--max-epochs", "1", "--patience", "1"]
-        return [command, "--data", str(prepared_dir), "--generated", str(generated_file),
-                "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(out), "--seed", str(seed)]
-
-    assert main(argv(23, generated)) == 0
-    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert main(command_argv(command, out)) == 0
+    before = _tree(out)
     assert artifact in before
+    torn_path = (out / artifact).with_name(f".{Path(artifact).name}.tmp")
 
     real_open = open
     torn = []
@@ -572,15 +670,12 @@ def test_write_torn_mid_file_keeps_the_earlier_output(tmp_path, corpus_file, pre
 
     def open_tearing_the_artifact(path, *args, **kwargs):
         handle = real_open(path, *args, **kwargs)
-        return TornFile(handle) if Path(path).name == f".{artifact}.tmp" else handle
+        return TornFile(handle) if Path(path) == torn_path else handle
 
     for writer in (cli, corpus, nm):  # the modules whose writers open the temporary file
         monkeypatch.setattr(writer, "open", open_tearing_the_artifact, raising=False)
     with pytest.raises(KeyboardInterrupt):
-        main(argv(24, perfect))
+        main(command_argv(command, out, rerun=True))
     monkeypatch.undo()
     assert len(torn) == 1 and (torn[0] if isinstance(torn[0], bytes) else torn[0].encode()) != before[artifact]
-    assert (out / artifact).read_bytes() == before[artifact]
-    assert sorted(path.name for path in out.iterdir()) == sorted(before)
-    if command == "prepare":  # the three record files are renamed into place together, after all are written
-        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert _tree(out) == before

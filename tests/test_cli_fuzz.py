@@ -5,7 +5,7 @@ Each property drives ``cli.main`` with arbitrary content in one input file: a
 ``evaluate`` and ``audit``), a ``--config`` file, a checkpoint or the
 ``vocab.json`` beside it (through ``generate``), or the records or lexicon file
 of ``prepare``.  Whatever the content, the command exits 0 or 2, no exception
-escapes, and an exit-2 message names the file.
+escapes, an exit-2 message names the file, and no temporary output is left.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ def _run(argv: list[str], path: Path) -> None:
     assert code in (0, 2), stderr.getvalue()
     if code == 2:
         assert str(path) in stderr.getvalue()
+    out = Path(argv[argv.index("--out") + 1])
+    assert not list(out.rglob(".*.tmp")), "a temporary output was left behind"
 
 
 def _test_rows(workspace: Path, explanation) -> str:
@@ -175,6 +177,7 @@ def _damaged(data: bytes, damage: tuple) -> bytes:
 ))
 @example(damage=b"EMOT\x01\x00\x00\x00")
 @example(damage=("field", 2, b"\xff\xff\xff\xff"))
+@example(damage=("field", 3, b"\x00\x01"))  # rank 256: extents whose product has over 4300 digits
 @example(damage=("value", 0, math.nan))
 def test_checkpoint_file_fuzz(workspace, damage):
     """Arbitrary bytes, or the trained checkpoint cut short, with a header field overwritten or a value non-finite."""
