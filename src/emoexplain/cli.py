@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import typing
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -183,16 +185,21 @@ def output_lock(out_dir: Path):
 
 
 @contextmanager
-def _outputs(out_dir: Path, resolved: dict):
+def _outputs(out_dir: Path, resolved: dict, names: tuple[str, ...]):
     """Hold ``out_dir``'s lock and yield ``stage(name)``, a temporary path for the output ``out_dir/name``.
 
-    Once the block completes, ``resolved`` is staged as ``config.txt`` and every staged file renamed into
-    place, each ``config.txt`` removed first and renamed last: a ``config.txt`` is absent or describes every
-    file beside it. Until then the earlier outputs stay as they were; no temporary file outlives the block.
+    ``names`` are glob patterns that match every top-level output the command can write. Once the block
+    completes, ``resolved`` is staged as ``config.txt``, each ``config.txt`` is removed, then every entry
+    matching ``names`` that this run did not stage, and every staged file is renamed into place, each
+    ``config.txt`` last: a ``config.txt`` is absent or describes every file beside it. Until then the
+    earlier outputs stay as they were; no temporary file outlives the block.
     """
     staged = {}
+    names = (*names, "config.txt")
 
     def stage(name: str) -> Path:
+        if not any(fnmatch(name.split("/")[0], pattern) for pattern in names):
+            raise RuntimeError(f"{name} is not among the declared outputs {names}")
         path = out_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
         return staged.setdefault(path, path.with_name(f".{path.name}.tmp"))
@@ -204,6 +211,12 @@ def _outputs(out_dir: Path, resolved: dict):
             configs = [path for path in staged if path.name == "config.txt"]
             for path in configs:
                 path.unlink(missing_ok=True)
+            written = {path.relative_to(out_dir).parts[0] for path in staged}
+            for stale in {path for pattern in names for path in out_dir.glob(pattern) if path.name not in written}:
+                if stale.is_dir() and not stale.is_symlink():
+                    shutil.rmtree(stale)
+                else:
+                    stale.unlink()
             for path in sorted(staged, key=lambda path: path in configs):
                 os.replace(staged[path], path)
         finally:
@@ -324,7 +337,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         "words_per_explanation": sum(words) / len(words),
     }
 
-    with _outputs(out_dir, resolved) as stage:
+    with _outputs(out_dir, resolved, (*(f"{name}.jsonl" for name in SPLITS), "vocab.json", "stats.json")) as stage:
         for name in SPLITS:
             save_records(stage(f"{name}.jsonl"), list(getattr(split, name)))
         _save_vocab(stage("vocab.json"), vocab)
@@ -358,7 +371,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     base_split = DatasetSplit(*_load_split_dir(data_dir, *SPLITS), seed=resolved["seed"])
     n_repeats = resolved["splits"]
 
-    with _outputs(out_dir, resolved) as stage:
+    names = ("model.emot", "vocab.json", "history.json", "run[0-9]*", "summary.json")
+    with _outputs(out_dir, resolved, names) as stage:
         if n_repeats <= 1:
             vocab = _load_vocab(data_dir / "vocab.json")
             _train_once(resolved, base_split, lex, vocab, stage)
@@ -430,7 +444,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "stop": {reason: sum(r.stop == reason for r in done) for reason in ("eos", "max_tokens", "length_budget")},
     }
 
-    with _outputs(out_dir, resolved) as stage, open(stage("generated.jsonl"), "w", encoding="utf-8") as fh:
+    with (_outputs(out_dir, resolved, ("generated.jsonl", "generation.json")) as stage,
+          open(stage("generated.jsonl"), "w", encoding="utf-8") as fh):
         for query, result in zip(queries, results):
             row = {"user": query.user, "item": query.item, "requested_emotion": query.emotion}
             if result.tokens is None:
@@ -460,7 +475,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError(f"{data_dir / 'test.jsonl'}: {err}") from None
 
     table = report_table([("generated", report)])
-    with _outputs(out_dir, resolved) as stage:
+    with _outputs(out_dir, resolved, ("report.json", "report.txt")) as stage:
         _write_json(stage("report.json"), report_to_dict(report))
         _write_text(stage("report.txt"), table)
     print(table, end="")
@@ -501,7 +516,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             print(f"warning: {warning}", file=sys.stderr)
 
     table = audit_table(audit, debias_column)
-    with _outputs(out_dir, resolved) as stage:
+    with _outputs(out_dir, resolved, ("audit.json", "audit.txt")) as stage:
         _write_json(stage("audit.json"), payload)
         _write_text(stage("audit.txt"), table)
     print(table, end="")
@@ -528,7 +543,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                      + "  ".join(f"{row[key]:7.2f}" for key in REPORT_KEYS))
     table = "\n".join(lines) + "\n"
 
-    with _outputs(out_dir, resolved) as stage:
+    with _outputs(out_dir, resolved, ("ablation.json", "ablation.txt")) as stage:
         _write_json(stage("ablation.json"), {"cells": rows})
         _write_text(stage("ablation.txt"), table)
     print(table, end="")
@@ -560,7 +575,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     )
     print(f"gradcheck: max relative error {error:.3e} over >= {resolved['grad_samples']} coordinates")
     if resolved.get("out"):
-        with _outputs(Path(resolved["out"]), resolved) as stage:
+        with _outputs(Path(resolved["out"]), resolved, ("gradcheck.json",)) as stage:
             _write_json(stage("gradcheck.json"), {
                 "max_relative_error": error, "threshold": 1e-3, "passed": error < 1e-3})
     if error >= 1e-3:

@@ -41,7 +41,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise FloatingPointError(f"non-finite values in tensor {name or '<anonymous>'}")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -70,11 +70,25 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named, learnable tensor; its gradient buffer always exists."""
+    """A named, learnable tensor; its gradient buffer is made on first use, so it reads as zeros until written.
+
+    Weights that only run inference never touch ``grad`` and hold no gradient memory.
+    """
+
+    __slots__ = ("_grad",)
 
     def __init__(self, data, name: str):
         super().__init__(data, requires_grad=True, name=name)
-        self.grad = np.zeros_like(self.data)
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -358,7 +372,12 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of everything the scalar ``loss`` depends on."""
+    """Populate the gradients of the leaves and ``Parameter``s the scalar ``loss`` depends on.
+
+    An interior node's gradient is freed as soon as its own backward function
+    has consumed it, so after the sweep only leaves hold gradients.  Each
+    node's backward function and parents stay until the graph is dropped.
+    """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if loss._swept:
@@ -385,6 +404,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
+            node.grad = None
 
 
 def sgd_step(params: list[Parameter], learning_rate: float, clip_threshold: float | None = 1.0) -> float:
@@ -398,7 +418,7 @@ def sgd_step(params: list[Parameter], learning_rate: float, clip_threshold: floa
     if not math.isfinite(total):
         # Name the culprit; finite gradients whose squares overflow clip to a zero step.
         for p in params:
-            if not np.all(np.isfinite(p.grad)):
+            if not np.isfinite(p.grad).all():
                 raise FloatingPointError(f"non-finite gradient in parameter {p.name!r}")
     norm = math.sqrt(total)
     scale = 1.0

@@ -172,6 +172,8 @@ def train(
 
     if best_snapshot is not None:
         params.restore(best_snapshot)
+    for p in all_params:  # zero after the last step; the caller only reads the weights
+        p.grad = None
     return params, TrainHistory(initial_train=initial, epochs=history, best_epoch=best_epoch)
 
 

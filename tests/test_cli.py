@@ -631,6 +631,19 @@ def test_interrupted_commit_leaves_no_config_newer_than_its_neighbours(tmp_path,
                 f"{config} after rename {k} of {len(first)} failed")
 
 
+@pytest.mark.parametrize("first,second", [("train-splits", "train"), ("train", "train-splits")])
+def test_rerun_removes_the_outputs_it_did_not_write(tmp_path, command_argv, first, second):
+    """After a rerun, ``out`` holds what the second command writes into an empty directory, plus foreign files."""
+    out, alone = tmp_path / "out", tmp_path / "alone"
+    assert main(command_argv(first, out)) == 0
+    (out / "notes.txt").write_text("kept\n")
+    assert main(command_argv(second, out)) == 0
+    assert main(command_argv(second, alone)) == 0
+    entries = {path.relative_to(out).as_posix() for path in out.rglob("*")}
+    assert entries == {path.relative_to(alone).as_posix() for path in alone.rglob("*")} | {"notes.txt"}
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("command,artifact", [
     ("gradcheck", "config.txt"), ("evaluate", "config.txt"), ("evaluate", "report.txt"), ("audit", "audit.txt"),
     ("prepare", "train.jsonl"), ("prepare", "valid.jsonl"), ("prepare", "test.jsonl"), ("train", "model.emot"),

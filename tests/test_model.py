@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -452,3 +453,36 @@ def test_losses_accept_item_ids_beyond_the_token_table(tiny_vocab, lex):
         assert np.isfinite(loss.item())
         for p in params.all():
             p.zero_grad()
+
+
+def test_building_model_params_allocates_no_gradient_memory():
+    config = ModelConfig(n_tokens=200, n_users=4, n_items=4, max_len=16, embed_dim=64, ffn_dim=128)
+    ModelParams(config, seed=0)  # the first build imports what it needs; those modules stay
+    tracemalloc.start()
+    try:
+        params = ModelParams(config, seed=0)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    weights = sum(p.data.nbytes for p in params.all())
+    assert weights <= held < 1.25 * weights  # a zero-filled gradient per parameter would double it
+
+
+def test_backward_leaves_gradients_on_parameters_only(tiny_vocab, lex):
+    config = ModelConfig(n_tokens=20, n_users=2, n_items=2, max_len=14, embed_dim=8, ffn_dim=16)
+    params = ModelParams(config, seed=7)
+    batch, vnrc = make_batch(_mixed_batch(config, tiny_vocab, lex))
+    loss, _, _ = total_loss(batch, params, config, vnrc)
+    nm.backward(loss)
+    interior, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+            if node._backward_fn is not None:
+                interior.append(node)
+    assert len(interior) > 100
+    assert all(node.grad is None for node in interior)
+    for p in params.all():
+        assert p.grad.any(), p.name

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +49,19 @@ def test_train_is_deterministic(small_split, small_vocab, lex):
     for pa, pb in zip(params_a.all(), params_b.all()):
         assert np.array_equal(pa.data, pb.data)
 
+
+
+def test_trained_weights_hold_no_gradient_memory(small_split, small_vocab, lex):
+    config = _config(small_vocab, embed_dim=64, ffn_dim=128)
+    tc = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=21)
+    tracemalloc.start()
+    try:
+        params, _ = train(config, tc, small_split, lex, small_vocab)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    weights = sum(p.data.nbytes for p in params.all())
+    assert weights <= held < 1.25 * weights  # the optimizer's gradient buffers would double it
 
 @pytest.mark.parametrize("clip", [1e-6, 0.5, 1e6])
 def test_history_records_pre_clip_norm_and_clip_rate(monkeypatch, small_split, small_vocab, lex, clip):
