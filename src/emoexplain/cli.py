@@ -192,8 +192,12 @@ def _outputs(out_dir: Path, resolved: dict, names: tuple[str, ...]):
     completes, ``resolved`` is staged as ``config.txt``, each ``config.txt`` is removed, then every entry
     matching ``names`` that this run did not stage, and every staged file is renamed into place, each
     ``config.txt`` last: a ``config.txt`` is absent or describes every file beside it. Until then the
-    earlier outputs stay as they were; no temporary file outlives the block.
+    earlier outputs stay as they were; no temporary file outlives the block. An ``out_dir`` that is the
+    ``--data`` directory or the checkpoint's, whose files the commit would replace, is refused first.
     """
+    for source in (resolved.get("data"), resolved.get("checkpoint") and Path(resolved["checkpoint"]).parent):
+        if source and out_dir.resolve() == Path(source).resolve():
+            raise ValueError(f"output directory {out_dir} is the input directory {source}; choose another --out")
     staged = {}
     names = (*names, "config.txt")
 

@@ -47,9 +47,6 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self.table)
 
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self.table
-
 
 def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, line) over a UTF-8 text file.

@@ -284,8 +284,6 @@ def _positions(params: ModelParams, config: ModelConfig, start: int, rows: int) 
 
 def emotion_embed(params: ModelParams, intensities: Tensor) -> Tensor:
     """The emotion MLP g: rows of 6 intensities to rows of embed_dim."""
-    if intensities.data.ndim == 1:
-        intensities = Tensor(intensities.data.reshape(1, -1))
     h = nm.relu(nm.add(nm.matmul(intensities, params.emo_w1), params.emo_b1))
     return nm.add(nm.matmul(h, params.emo_w2), params.emo_b2)
 

@@ -136,11 +136,9 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g @ b.data if transpose_b else g @ b.data.T)
         if b.requires_grad:
-            # The sum over the batch of each slice's weight gradient. One flattened
-            # (B·L, k) GEMM is faster but rounds differently; ROADMAP direction 2
-            # says what has to change before it can replace this loop.
-            for a_slice, g_slice in zip(a.data.reshape(-1, *a.data.shape[-2:]), g.reshape(-1, *g.shape[-2:])):
-                _accumulate(b, g_slice.T @ a_slice if transpose_b else a_slice.T @ g_slice)
+            # A stack's rows all meet the same b: one (B·n, k) GEMM sums the slices' gradients.
+            rows, g_rows = a.data.reshape(-1, a.data.shape[-1]), g.reshape(-1, g.shape[-1])
+            _accumulate(b, g_rows.T @ rows if transpose_b else rows.T @ g_rows)
 
     return _result("matmul", out_data, (a, b), backward_fn)
 

@@ -27,7 +27,7 @@ from emoexplain.corpus import (
     split_dataset,
 )
 from emoexplain.fixtures import fixture_lexicon, pool_corpus_spec, signature_corpus
-from emoexplain.generator import GenerationQuery, generate
+from emoexplain.generator import GenerationQuery, batch_generate, generate
 from emoexplain.metrics import (
     EvaluationPair,
     bleu,
@@ -52,7 +52,7 @@ from emoexplain.model import (
 from emoexplain.trainer import TrainConfig, train
 
 from . import oracles
-from .conftest import FIXTURE_LEXICON_PATH
+from .conftest import FIXTURE_LEXICON_PATH, REPO_ROOT
 
 
 def _passed(number: int, name: str) -> None:
@@ -221,36 +221,58 @@ def test_acceptance_6_fusion_invariants():
     _passed(6, "fusion invariants")
 
 
+# Acceptance-7's setting: the one results/debias_sweep.json selects, by the rule scripts/debias_sweep.py
+# states. At lr 1.0 the outcome depended on how the weight gradient's sum was rounded.
+DEBIAS_LEARNING_RATE = 0.3
+DEBIAS_MASK_EMOTION_TAG = False
+DEBIAS_EPOCHS = 8
+DEBIAS_SEEDS = tuple(range(12))
+DEBIAS_SWEEP = REPO_ROOT / "results" / "debias_sweep.json"
+
+
+def _mean_and_wins(on: list[float], off: list[float]) -> tuple[float, float, int]:
+    return sum(on) / len(on), sum(off) / len(off), sum(a < b for a, b in zip(on, off))
+
+
+def test_acceptance_7_setting_is_the_sweeps_selection():
+    sweep = json.loads(DEBIAS_SWEEP.read_text())
+    selected = sweep["selected"]
+    assert (selected["lr"], selected["mask_emotion_tag"], selected["max_epochs"], tuple(selected["seeds"])) == (
+        DEBIAS_LEARNING_RATE, DEBIAS_MASK_EMOTION_TAG, DEBIAS_EPOCHS, DEBIAS_SEEDS)
+    keys = ("lr", "mask_emotion_tag", "max_epochs")
+    (setting,) = [s for s in sweep["settings"] if all(s[key] == selected[key] for key in keys)]
+    for order in ("flat", "per_slice"):  # the test's assertions hold under either summation order
+        mean_on, mean_off, wins = _mean_and_wins(setting["orders"][order]["l1_on"], setting["orders"][order]["l1_off"])
+        assert mean_on < mean_off and 2 * wins > len(DEBIAS_SEEDS), order
+
+
 def test_acceptance_7_directional_debiasing():
     start = time.monotonic()
     lex = fixture_lexicon()
     skew = (0.6, 0.05, 0.1, 0.1, 0.05, 0.1)
     l1 = {1.0: [], 0.0: []}
-    for seed in (0, 1, 2):
+    for seed in DEBIAS_SEEDS:
         records = generate_synthetic_corpus(pool_corpus_spec(12, 20, 240, skew), seed=seed)
         split = split_dataset(records, seed=seed)
         vocab = build_vocabulary(list(split.train))
         test = assign_emotion_tags(list(split.test), lex)
+        queries = [GenerationQuery(r.user, r.item, r.features, r.emotion) for r in test]
         for c2 in (1.0, 0.0):
-            config = config_for_vocab(vocab, embed_dim=64, ffn_dim=128, c2=c2)
-            tc = TrainConfig(batch_size=16, learning_rate=1.0, clip=1.0,
-                             max_epochs=8, patience=8, seed=seed)
+            config = config_for_vocab(vocab, embed_dim=64, ffn_dim=128, c2=c2,
+                                      mask_emotion_tag=DEBIAS_MASK_EMOTION_TAG)
+            tc = TrainConfig(batch_size=16, learning_rate=DEBIAS_LEARNING_RATE, clip=1.0,
+                             max_epochs=DEBIAS_EPOCHS, patience=DEBIAS_EPOCHS, seed=seed)
             params, _ = train(config, tc, split, lex, vocab)
-            generated = [
-                " ".join(generate(params, config, vocab, lex,
-                                  GenerationQuery(r.user, r.item, r.features, r.emotion)))
-                for r in test
-            ]
+            generated = [" ".join(r.tokens) for r in batch_generate(params, config, vocab, lex, queries)]
             audit = emotion_audit([r.explanation for r in test], generated, lex)
             l1[c2].append(audit.l1_distance)
 
-    mean_on = sum(l1[1.0]) / 3
-    mean_off = sum(l1[0.0]) / 3
-    wins = sum(a < b for a, b in zip(l1[1.0], l1[0.0]))
+    n = len(DEBIAS_SEEDS)
+    mean_on, mean_off, wins = _mean_and_wins(l1[1.0], l1[0.0])
     elapsed = time.monotonic() - start
-    assert mean_on <= mean_off, f"mean L1 with emotion loss {mean_on:.4f} vs without {mean_off:.4f}"
-    assert wins >= 2, f"emotion loss strictly better in only {wins}/3 seeds ({l1})"
-    _passed(7, f"directional debiasing (mean L1 {mean_on:.3f} vs {mean_off:.3f}, {wins}/3 seeds, {elapsed:.0f}s)")
+    assert mean_on < mean_off, f"mean L1 with emotion loss {mean_on:.4f} vs without {mean_off:.4f}"
+    assert 2 * wins > n, f"emotion loss strictly better in only {wins}/{n} seeds ({l1})"
+    _passed(7, f"directional debiasing (mean L1 {mean_on:.3f} vs {mean_off:.3f}, {wins}/{n} seeds, {elapsed:.0f}s)")
 
 
 def test_acceptance_8_ablation_harness(tmp_path):

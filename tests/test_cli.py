@@ -644,6 +644,28 @@ def test_rerun_removes_the_outputs_it_did_not_write(tmp_path, command_argv, firs
     assert (out / "notes.txt").read_text() == "kept\n"
 
 
+def test_out_that_is_an_input_directory_exits_2_and_changes_nothing(tmp_path, corpus_file, trained_dir, capsys):
+    """``train --splits 2`` would remove ``prepare``'s vocab.json there; any command would replace its config.txt."""
+    lexicon = str(FIXTURE_LEXICON_PATH)
+    prep = tmp_path / "prep"
+    assert main(["prepare", "--records", str(corpus_file), "--lexicon", lexicon, "--out", str(prep)]) == 0
+    before = _tree(prep)
+    capsys.readouterr()
+    assert main(["train", "--data", str(prep), "--lexicon", lexicon, "--out", str(prep),
+                 *SMALL_MODEL, "--splits", "2"]) == 2
+    assert f"output directory {prep} is the input directory {prep}" in capsys.readouterr().err
+    assert _tree(prep) == before
+
+    run = tmp_path / "run"
+    shutil.copytree(trained_dir, run)
+    before = _tree(run)
+    out = tmp_path / "prep" / ".." / "run"
+    assert main(["generate", "--data", str(prep), "--checkpoint", str(run / "model.emot"), "--lexicon", lexicon,
+                 "--out", str(out), "--max-tokens", "3"]) == 2
+    assert f"output directory {out} is the input directory {run}" in capsys.readouterr().err
+    assert _tree(run) == before
+
+
 @pytest.mark.parametrize("command,artifact", [
     ("gradcheck", "config.txt"), ("evaluate", "config.txt"), ("evaluate", "report.txt"), ("audit", "audit.txt"),
     ("prepare", "train.jsonl"), ("prepare", "valid.jsonl"), ("prepare", "test.jsonl"), ("train", "model.emot"),

@@ -69,19 +69,19 @@ def test_emotion_embed_zero_weights_give_zero_output(tiny_config):
     params = ModelParams(tiny_config, seed=0)
     for p in (params.emo_w1, params.emo_b1, params.emo_w2, params.emo_b2):
         p.data[...] = 0.0
-    out = emotion_embed(params, Tensor(np.array(NEUTRAL_VECTOR)))
+    out = emotion_embed(params, Tensor(np.array([NEUTRAL_VECTOR])))
     assert np.array_equal(out.data, np.zeros((1, tiny_config.embed_dim)))
 
 
 def test_emotion_embed_output_width_is_embed_dim(tiny_config):
     params = ModelParams(tiny_config, seed=1)
-    out = emotion_embed(params, Tensor(np.array([0.5, 0, 0, 0.2, 0, 0.3])))
+    out = emotion_embed(params, Tensor(np.array([[0.5, 0, 0, 0.2, 0, 0.3]])))
     assert out.data.shape == (1, tiny_config.embed_dim)
 
 
 def test_emotion_embed_gradient_matches_finite_differences(tiny_config):
     params = ModelParams(tiny_config, seed=2)
-    vec = Tensor(np.array([0.7, 0.0, 0.5, 0.0, 0.0, 0.0]))
+    vec = Tensor(np.array([[0.7, 0.0, 0.5, 0.0, 0.0, 0.0]]))
     mlp = [params.emo_w1, params.emo_b1, params.emo_w2, params.emo_b2]
 
     def loss():

@@ -180,17 +180,16 @@ def _close(a, b) -> bool:
     return a.shape == b.shape and np.max(np.abs(a - b)) <= SLICE_TOL
 
 
-@pytest.mark.parametrize("transpose_b", [False, True])
-def test_matmul_stack_matches_slices_and_sums_weight_gradient(transpose_b):
-    rng = np.random.default_rng(20)
-    a = Parameter(rng.normal(size=(3, 5, 4)), "a")
-    b = Parameter(rng.normal(size=(6, 4) if transpose_b else (4, 6)), "b")
-    targets = rng.integers(0, 6, size=(3, 5))
+def _stack_matmul_matches_slices(rng, a, b, transpose_b):
+    """Each slice of the stack's output and input gradient matches its 2-d matmul, and the weight
+    gradient matches the sum of the slices' weight gradients."""
+    n = b.data.shape[0] if transpose_b else b.data.shape[1]
+    targets = rng.integers(0, n, size=a.data.shape[:-1])
     out = nm.matmul(a, b, transpose_b)
     nm.backward(nm.tensor_sum(nm.cross_entropy(out, targets)))
     stacked_b_grad = b.grad.copy()
     summed = np.zeros_like(b.data)
-    for i in range(3):
+    for i in range(a.data.shape[0]):
         b.zero_grad()
         a_i = Parameter(a.data[i], "a_i")
         out_i = nm.matmul(a_i, b, transpose_b)
@@ -199,8 +198,21 @@ def test_matmul_stack_matches_slices_and_sums_weight_gradient(transpose_b):
         summed += b.grad
         assert _close(a.grad[i], a_i.grad)
     assert np.max(np.abs(stacked_b_grad - summed)) <= SLICE_TOL
+
+
+@pytest.mark.parametrize("transpose_b", [False, True])
+def test_matmul_stack_matches_slices_and_sums_weight_gradient(transpose_b):
+    rng = np.random.default_rng(20)
+    a = Parameter(rng.normal(size=(3, 5, 4)), "a")
+    b = Parameter(rng.normal(size=(6, 4) if transpose_b else (4, 6)), "b")
+    _stack_matmul_matches_slices(rng, a, b, transpose_b)
     probe = _probe(rng, (3, 5, 6))
     assert nm.grad_check(lambda: probe(nm.matmul(a, b, transpose_b)), [a, b], n_samples=80) < 1e-3
+    # The shapes desk training runs: a batch of 16 sequences of 14 positions at d=64, into a d=64
+    # projection or (transposed) the tied LM head of a ~90-token vocabulary.
+    a = Parameter(rng.normal(size=(16, 14, 64)), "a")
+    b = Parameter(rng.normal(size=(90, 64) if transpose_b else (64, 64)), "b")
+    _stack_matmul_matches_slices(rng, a, b, transpose_b)
 
 
 @pytest.mark.parametrize("m,n,heads", [(4, 4, 2), (2, 5, 2), (1, 3, 3)])
