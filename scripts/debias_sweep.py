@@ -59,7 +59,8 @@ def per_slice_matmul(a, b, transpose_b=False):
     if out._backward_fn is not None:
         def backward_fn(g):
             if a.requires_grad:
-                nm._accumulate(a, g @ b.data if transpose_b else g @ b.data.T)
+                g_rows = g.reshape(-1, g.shape[-1])
+                nm._accumulate(a, (g_rows @ b.data if transpose_b else g_rows @ b.data.T).reshape(a.data.shape))
             if b.requires_grad:
                 for a_slice, g_slice in zip(a.data.reshape(-1, *a.data.shape[-2:]), g.reshape(-1, *g.shape[-2:])):
                     nm._accumulate(b, g_slice.T @ a_slice if transpose_b else a_slice.T @ g_slice)

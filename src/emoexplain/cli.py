@@ -423,8 +423,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     state = nm.load_checkpoint(checkpoint)
     try:
         config = _model_config(resolved, vocab)
-        params = ModelParams(config, seed=0)
-        params.load_state(state)
+        params = ModelParams(config, state=state)
     except ValueError as err:
         raise ValueError(f"{checkpoint}: {err} (model built from {config_path} and {vocab_path})") from None
 

@@ -91,58 +91,77 @@ class LayerParams:
         ]
 
 
-def _glorot(rng, fan_in, fan_out, name):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return Parameter(rng.uniform(-limit, limit, size=(fan_in, fan_out)), name)
+def _uniform(rng, shape):
+    return rng.uniform(-0.1, 0.1, size=shape)
 
 
-def _zeros(shape, name):
-    return Parameter(np.zeros(shape), name)
+def _glorot(rng, shape):
+    limit = np.sqrt(6.0 / sum(shape))
+    return rng.uniform(-limit, limit, size=shape)
 
 
-def _layer(rng, prefix: str, d: int, ffn: int) -> LayerParams:
+def _zeros(rng, shape):
+    return np.zeros(shape)
+
+
+def _ones(rng, shape):
+    return np.ones(shape)
+
+
+def _layer(param, prefix: str, d: int, ffn: int) -> LayerParams:
     return LayerParams(
-        wq=_glorot(rng, d, d, f"{prefix}.attn.wq"),
-        wk=_glorot(rng, d, d, f"{prefix}.attn.wk"),
-        wv=_glorot(rng, d, d, f"{prefix}.attn.wv"),
-        wo=_glorot(rng, d, d, f"{prefix}.attn.wo"),
-        bo=_zeros(d, f"{prefix}.attn.bo"),
-        ln1_gamma=Parameter(np.ones(d), f"{prefix}.ln1.gamma"),
-        ln1_beta=_zeros(d, f"{prefix}.ln1.beta"),
-        ffn_w1=_glorot(rng, d, ffn, f"{prefix}.ffn.w1"),
-        ffn_b1=_zeros(ffn, f"{prefix}.ffn.b1"),
-        ffn_w2=_glorot(rng, ffn, d, f"{prefix}.ffn.w2"),
-        ffn_b2=_zeros(d, f"{prefix}.ffn.b2"),
-        ln2_gamma=Parameter(np.ones(d), f"{prefix}.ln2.gamma"),
-        ln2_beta=_zeros(d, f"{prefix}.ln2.beta"),
+        wq=param(f"{prefix}.attn.wq", (d, d), _glorot),
+        wk=param(f"{prefix}.attn.wk", (d, d), _glorot),
+        wv=param(f"{prefix}.attn.wv", (d, d), _glorot),
+        wo=param(f"{prefix}.attn.wo", (d, d), _glorot),
+        bo=param(f"{prefix}.attn.bo", (d,), _zeros),
+        ln1_gamma=param(f"{prefix}.ln1.gamma", (d,), _ones),
+        ln1_beta=param(f"{prefix}.ln1.beta", (d,), _zeros),
+        ffn_w1=param(f"{prefix}.ffn.w1", (d, ffn), _glorot),
+        ffn_b1=param(f"{prefix}.ffn.b1", (ffn,), _zeros),
+        ffn_w2=param(f"{prefix}.ffn.w2", (ffn, d), _glorot),
+        ffn_b2=param(f"{prefix}.ffn.b2", (d,), _zeros),
+        ln2_gamma=param(f"{prefix}.ln2.gamma", (d,), _ones),
+        ln2_beta=param(f"{prefix}.ln2.beta", (d,), _zeros),
     )
 
 
 class ModelParams:
-    """All learned weights. ``token_embedding`` doubles as the LM output matrix."""
+    """All learned weights. ``token_embedding`` doubles as the LM output matrix.
 
-    def __init__(self, config: ModelConfig, seed: int):
+    Without ``state`` the weights are drawn from ``seed``.  With ``state`` (a
+    loaded checkpoint) each parameter wraps that checkpoint's array itself:
+    nothing is drawn or copied.
+    """
+
+    def __init__(self, config: ModelConfig, seed: int = 0, state: dict[str, np.ndarray] | None = None):
         d = config.embed_dim
         rng = np.random.default_rng(seed)
-        self.token_embedding = Parameter(
-            rng.uniform(-0.1, 0.1, size=(config.n_tokens, d)), "token_embedding")
-        self.user_embedding = Parameter(
-            rng.uniform(-0.1, 0.1, size=(config.n_users, d)), "user_embedding")
-        self.item_embedding = Parameter(
-            rng.uniform(-0.1, 0.1, size=(config.n_items, d)), "item_embedding")
-        self.positional = Parameter(
-            rng.uniform(-0.1, 0.1, size=(config.max_len, d)), "positional")
-        self.emo_w1 = _glorot(rng, N_EMOTIONS, EMOTION_MLP_HIDDEN, "emotion_mlp.w1")
-        self.emo_b1 = _zeros(EMOTION_MLP_HIDDEN, "emotion_mlp.b1")
-        self.emo_w2 = _glorot(rng, EMOTION_MLP_HIDDEN, d, "emotion_mlp.w2")
-        self.emo_b2 = _zeros(d, "emotion_mlp.b2")
+
+        def param(name, shape, init):
+            if state is None:
+                return Parameter(init(rng, shape), name)
+            if name not in state:
+                raise ValueError(f"checkpoint is missing parameter {name!r}")
+            if state[name].shape != shape:
+                raise ValueError(f"checkpoint shape {state[name].shape} for {name!r} does not match {shape}")
+            return Parameter(state[name], name)
+
+        self.token_embedding = param("token_embedding", (config.n_tokens, d), _uniform)
+        self.user_embedding = param("user_embedding", (config.n_users, d), _uniform)
+        self.item_embedding = param("item_embedding", (config.n_items, d), _uniform)
+        self.positional = param("positional", (config.max_len, d), _uniform)
+        self.emo_w1 = param("emotion_mlp.w1", (N_EMOTIONS, EMOTION_MLP_HIDDEN), _glorot)
+        self.emo_b1 = param("emotion_mlp.b1", (EMOTION_MLP_HIDDEN,), _zeros)
+        self.emo_w2 = param("emotion_mlp.w2", (EMOTION_MLP_HIDDEN, d), _glorot)
+        self.emo_b2 = param("emotion_mlp.b2", (d,), _zeros)
         self.emotion_encoder = [
-            _layer(rng, f"emotion_encoder.{i}", d, config.ffn_dim) for i in range(config.encoder_layers)]
+            _layer(param, f"emotion_encoder.{i}", d, config.ffn_dim) for i in range(config.encoder_layers)]
         self.context_encoder = [
-            _layer(rng, f"context_encoder.{i}", d, config.ffn_dim) for i in range(config.encoder_layers)]
+            _layer(param, f"context_encoder.{i}", d, config.ffn_dim) for i in range(config.encoder_layers)]
         self.decoder = [
-            _layer(rng, f"decoder.{i}", d, config.ffn_dim) for i in range(config.decoder_layers)]
-        self.emotion_head_weight = _glorot(rng, d, N_EMOTIONS, "emotion_head")
+            _layer(param, f"decoder.{i}", d, config.ffn_dim) for i in range(config.decoder_layers)]
+        self.emotion_head_weight = param("emotion_head", (d, N_EMOTIONS), _glorot)
 
     def all(self) -> list[Parameter]:
         out = [
@@ -166,15 +185,6 @@ class ModelParams:
     def restore(self, arrays: list[np.ndarray]) -> None:
         for p, arr in zip(self.all(), arrays, strict=True):
             p.data[...] = arr
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for p in self.all():
-            if p.name not in state:
-                raise ValueError(f"checkpoint is missing parameter {p.name!r}")
-            if state[p.name].shape != p.data.shape:
-                raise ValueError(
-                    f"checkpoint shape {state[p.name].shape} for {p.name!r} does not match {p.data.shape}")
-            p.data[...] = state[p.name]
 
 
 @dataclass

@@ -127,17 +127,19 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     if a.data.ndim not in (2, 3) or b.data.ndim != 2:
         raise ValueError(f"matmul expects a 2-d or 3-d left and a 2-d right operand, "
                          f"got {a.data.shape} and {b.data.shape}")
-    inner_b = b.data.shape[1] if transpose_b else b.data.shape[0]
+    inner_b, cols = b.data.shape[::-1] if transpose_b else b.data.shape
     if a.data.shape[-1] != inner_b:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape} (transpose_b={transpose_b})")
-    out_data = a.data @ (b.data.T if transpose_b else b.data)
+    # A stack's rows all meet the same b, so each product is one 2-d GEMM over its B·n rows
+    # (views of the contiguous stack), not one per slice; a 2-d ``a`` reshapes to itself.
+    rows = a.data.reshape(-1, a.data.shape[-1])
+    out_data = (rows @ (b.data.T if transpose_b else b.data)).reshape(*a.data.shape[:-1], cols)
 
     def backward_fn(g):
+        g_rows = g.reshape(-1, g.shape[-1])
         if a.requires_grad:
-            _accumulate(a, g @ b.data if transpose_b else g @ b.data.T)
+            _accumulate(a, (g_rows @ b.data if transpose_b else g_rows @ b.data.T).reshape(a.data.shape))
         if b.requires_grad:
-            # A stack's rows all meet the same b: one (B·n, k) GEMM sums the slices' gradients.
-            rows, g_rows = a.data.reshape(-1, a.data.shape[-1]), g.reshape(-1, g.shape[-1])
             _accumulate(b, g_rows.T @ rows if transpose_b else rows.T @ g_rows)
 
     return _result("matmul", out_data, (a, b), backward_fn)

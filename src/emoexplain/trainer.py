@@ -143,6 +143,7 @@ def train(
                 lm_sum += float(lm.data.sum())
                 emo_sum += float(emo.data.sum())
                 nm.backward(loss)
+                del loss, lm, emo  # this batch's graph goes before the next forward builds its own
                 norms.append(nm.sgd_step(all_params, train_config.learning_rate, train_config.clip))
             except FloatingPointError as err:
                 raise FloatingPointError(

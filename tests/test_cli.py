@@ -489,6 +489,41 @@ def test_generate_counts_failures(tmp_path, prepared_dir, trained_dir):
     assert sum(summary["stop"].values()) == len(rows) - 1
 
 
+def test_generate_holds_one_copy_of_the_checkpoint(tmp_path, prepared_dir, trained_dir, monkeypatch):
+    import tracemalloc
+
+    from emoexplain import cli
+    from emoexplain import numerics as nm
+    from emoexplain.model import ModelParams, config_for_vocab
+
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    (ckpt / "vocab.json").write_bytes((trained_dir / "vocab.json").read_bytes())
+    (ckpt / "config.txt").write_text("embed_dim = 64\nffn_dim = 128\n", encoding="utf-8")
+    config = config_for_vocab(cli._load_vocab(ckpt / "vocab.json"), embed_dim=64, ffn_dim=128)
+    params = ModelParams(config, seed=5).all()
+    nm.save_checkpoint(ckpt / "model.emot", params)
+    weights = sum(p.data.nbytes for p in params)
+    held = []
+    inner = cli.batch_generate
+
+    def traced(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return inner(*args)
+
+    monkeypatch.setattr(cli, "batch_generate", traced)
+    args = ["generate", "--data", str(prepared_dir), "--checkpoint", str(ckpt / "model.emot"),
+            "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(tmp_path / "gen"), "--max-tokens", "1"]
+    assert main(args) == 0  # the first run imports and caches what it needs
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+    finally:
+        tracemalloc.stop()
+    # When decoding starts, the loaded arrays are the weights: a second, randomly drawn set would double it.
+    assert weights <= held[-1] < 1.25 * weights
+
+
 def test_interrupted_generate_keeps_the_earlier_output(tmp_path, prepared_dir, trained_dir, monkeypatch):
     from emoexplain import cli
 

@@ -279,6 +279,18 @@ def test_lock_step_matches_oracle_on_mixed_queries(monkeypatch, trained, lex):
     assert reasons == {"eos", "max_tokens", "length_budget"}
 
 
+def test_lock_step_matches_oracle_at_a_wider_model(monkeypatch, trained, lex):
+    # Batched decode steps run one GEMM over the batch's rows where generate runs one
+    # product per query; at d=256 their logits still agree within 1e-9 and pick the same tokens.
+    _, config, vocab, split = trained
+    queries = [GenerationQuery(r.user, r.item, r.features, r.emotion, max_tokens=m)
+               for r in split.test[:2] + split.train[:2] for m in (3, 8)]
+    for mask in (False, True):
+        wide = replace(config, embed_dim=256, ffn_dim=512, mask_emotion_tag=mask)
+        for seed in range(3):
+            _assert_lock_step_matches(monkeypatch, ModelParams(wide, seed), wide, vocab, lex, queries)
+
+
 def test_lock_step_drops_rows_that_stop_early(monkeypatch, trained, lex):
     _, config, vocab, split = trained
     params = ModelParams(config, 0)

@@ -213,6 +213,12 @@ def test_matmul_stack_matches_slices_and_sums_weight_gradient(transpose_b):
     a = Parameter(rng.normal(size=(16, 14, 64)), "a")
     b = Parameter(rng.normal(size=(90, 64) if transpose_b else (64, 64)), "b")
     _stack_matmul_matches_slices(rng, a, b, transpose_b)
+    # The one-row decode steps batch_generate runs: 20 desk queries at d=64 and 6 paper queries
+    # at d=512, into a projection or (transposed) the LM head of 39 or 90 tokens.
+    for shape, n in (((20, 1, 64), 39), ((6, 1, 512), 90)):
+        a = Parameter(rng.normal(size=shape), "a")
+        b = Parameter(rng.normal(size=(n, shape[-1]) if transpose_b else (shape[-1], shape[-1])), "b")
+        _stack_matmul_matches_slices(rng, a, b, transpose_b)
 
 
 @pytest.mark.parametrize("m,n,heads", [(4, 4, 2), (2, 5, 2), (1, 3, 3)])

@@ -63,6 +63,37 @@ def test_trained_weights_hold_no_gradient_memory(small_split, small_vocab, lex):
     weights = sum(p.data.nbytes for p in params.all())
     assert weights <= held < 1.25 * weights  # the optimizer's gradient buffers would double it
 
+
+def test_each_step_releases_its_graph_before_the_next_forward(monkeypatch, small_split, small_vocab, lex):
+    from emoexplain import trainer
+
+    config = _config(small_vocab, embed_dim=64, ffn_dim=128)
+    tc = TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=21)
+    calls = []  # per total_loss call: (records a graph, traced peak since the previous call, bytes it left held)
+    inner = trainer.total_loss
+
+    def traced(*args):
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = inner(*args)
+        calls.append((nm._GRAD_ENABLED, peak, tracemalloc.get_traced_memory()[0] - held))
+        return out
+
+    monkeypatch.setattr(trainer, "total_loss", traced)
+    tracemalloc.start()
+    try:
+        train(config, tc, small_split, lex, small_vocab)
+    finally:
+        tracemalloc.stop()
+    steps = [i for i, call in enumerate(calls) if call[0]]
+    assert len(steps) >= 3 and steps[-1] + 1 < len(calls)  # validation runs after the last step
+    graph = min(calls[i][2] for i in steps)
+    # A step's peak is read when the next call starts; every step after the first would
+    # add one graph to it if the previous batch's graph were still held.
+    first, later = calls[steps[0] + 1][1], [calls[i + 1][1] for i in steps[1:]]
+    assert max(later) < first + 0.5 * graph
+
+
 @pytest.mark.parametrize("clip", [1e-6, 0.5, 1e6])
 def test_history_records_pre_clip_norm_and_clip_rate(monkeypatch, small_split, small_vocab, lex, clip):
     norms = []
