@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import sys
 import typing
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
-from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -188,21 +188,26 @@ def output_lock(out_dir: Path):
 def _outputs(out_dir: Path, resolved: dict, names: tuple[str, ...]):
     """Hold ``out_dir``'s lock and yield ``stage(name)``, a temporary path for the output ``out_dir/name``.
 
-    ``names`` are glob patterns that match every top-level output the command can write. Once the block
-    completes, ``resolved`` is staged as ``config.txt``, each ``config.txt`` is removed, then every entry
-    matching ``names`` that this run did not stage, and every staged file is renamed into place, each
-    ``config.txt`` last: a ``config.txt`` is absent or describes every file beside it. Until then the
-    earlier outputs stay as they were; no temporary file outlives the block. An ``out_dir`` that is the
-    ``--data`` directory or the checkpoint's, whose files the commit would replace, is refused first.
+    ``names`` are regular expressions that match the whole name of every top-level output the command can
+    write, a directory's name followed by ``/``. Once the block completes, ``resolved`` is staged as
+    ``config.txt``, each ``config.txt`` is removed, then every entry matching ``names`` that this run did
+    not stage, and every staged file is renamed into place, each ``config.txt`` last: a ``config.txt`` is
+    absent or describes every file beside it. Until then the earlier outputs stay as they were; no
+    temporary file outlives the block. An ``out_dir`` that is the ``--data`` directory or the
+    checkpoint's, whose files the commit would replace, is refused first.
     """
     for source in (resolved.get("data"), resolved.get("checkpoint") and Path(resolved["checkpoint"]).parent):
         if source and out_dir.resolve() == Path(source).resolve():
             raise ValueError(f"output directory {out_dir} is the input directory {source}; choose another --out")
     staged = {}
-    names = (*names, "config.txt")
+    names = (*names, r"config\.txt")
+
+    def declared(entry: str) -> bool:
+        return any(re.fullmatch(pattern, entry) for pattern in names)
 
     def stage(name: str) -> Path:
-        if not any(fnmatch(name.split("/")[0], pattern) for pattern in names):
+        top, sep, _ = name.partition("/")
+        if not declared(top + sep):
             raise RuntimeError(f"{name} is not among the declared outputs {names}")
         path = out_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -216,11 +221,10 @@ def _outputs(out_dir: Path, resolved: dict, names: tuple[str, ...]):
             for path in configs:
                 path.unlink(missing_ok=True)
             written = {path.relative_to(out_dir).parts[0] for path in staged}
-            for stale in {path for pattern in names for path in out_dir.glob(pattern) if path.name not in written}:
-                if stale.is_dir() and not stale.is_symlink():
-                    shutil.rmtree(stale)
-                else:
-                    stale.unlink()
+            for stale in list(out_dir.iterdir()):
+                is_dir = stale.is_dir() and not stale.is_symlink()
+                if stale.name not in written and declared(stale.name + "/" * is_dir):
+                    shutil.rmtree(stale) if is_dir else stale.unlink()
             for path in sorted(staged, key=lambda path: path in configs):
                 os.replace(staged[path], path)
         finally:
@@ -341,7 +345,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         "words_per_explanation": sum(words) / len(words),
     }
 
-    with _outputs(out_dir, resolved, (*(f"{name}.jsonl" for name in SPLITS), "vocab.json", "stats.json")) as stage:
+    names = (*(rf"{name}\.jsonl" for name in SPLITS), r"vocab\.json", r"stats\.json")
+    with _outputs(out_dir, resolved, names) as stage:
         for name in SPLITS:
             save_records(stage(f"{name}.jsonl"), list(getattr(split, name)))
         _save_vocab(stage("vocab.json"), vocab)
@@ -374,11 +379,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     lex = load_lexicon(resolved["lexicon"])
     base_split = DatasetSplit(*_load_split_dir(data_dir, *SPLITS), seed=resolved["seed"])
     n_repeats = resolved["splits"]
+    # One run trains with the prepared vocabulary; each of several splits builds its own.
+    vocab = _load_vocab(data_dir / "vocab.json") if n_repeats <= 1 else None
 
-    names = ("model.emot", "vocab.json", "history.json", "run[0-9]*", "summary.json")
+    names = (r"model\.emot", r"vocab\.json", r"history\.json", r"run\d+/", r"summary\.json")
     with _outputs(out_dir, resolved, names) as stage:
-        if n_repeats <= 1:
-            vocab = _load_vocab(data_dir / "vocab.json")
+        if vocab is not None:
             _train_once(resolved, base_split, lex, vocab, stage)
         else:
             pool = list(base_split.records)
@@ -447,7 +453,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "stop": {reason: sum(r.stop == reason for r in done) for reason in ("eos", "max_tokens", "length_budget")},
     }
 
-    with (_outputs(out_dir, resolved, ("generated.jsonl", "generation.json")) as stage,
+    with (_outputs(out_dir, resolved, (r"generated\.jsonl", r"generation\.json")) as stage,
           open(stage("generated.jsonl"), "w", encoding="utf-8") as fh):
         for query, result in zip(queries, results):
             row = {"user": query.user, "item": query.item, "requested_emotion": query.emotion}
@@ -478,7 +484,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError(f"{data_dir / 'test.jsonl'}: {err}") from None
 
     table = report_table([("generated", report)])
-    with _outputs(out_dir, resolved, ("report.json", "report.txt")) as stage:
+    with _outputs(out_dir, resolved, (r"report\.json", r"report\.txt")) as stage:
         _write_json(stage("report.json"), report_to_dict(report))
         _write_text(stage("report.txt"), table)
     print(table, end="")
@@ -519,7 +525,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             print(f"warning: {warning}", file=sys.stderr)
 
     table = audit_table(audit, debias_column)
-    with _outputs(out_dir, resolved, ("audit.json", "audit.txt")) as stage:
+    with _outputs(out_dir, resolved, (r"audit\.json", r"audit\.txt")) as stage:
         _write_json(stage("audit.json"), payload)
         _write_text(stage("audit.txt"), table)
     print(table, end="")
@@ -546,7 +552,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                      + "  ".join(f"{row[key]:7.2f}" for key in REPORT_KEYS))
     table = "\n".join(lines) + "\n"
 
-    with _outputs(out_dir, resolved, ("ablation.json", "ablation.txt")) as stage:
+    with _outputs(out_dir, resolved, (r"ablation\.json", r"ablation\.txt")) as stage:
         _write_json(stage("ablation.json"), {"cells": rows})
         _write_text(stage("ablation.txt"), table)
     print(table, end="")
@@ -578,7 +584,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     )
     print(f"gradcheck: max relative error {error:.3e} over >= {resolved['grad_samples']} coordinates")
     if resolved.get("out"):
-        with _outputs(Path(resolved["out"]), resolved, ("gradcheck.json",)) as stage:
+        with _outputs(Path(resolved["out"]), resolved, (r"gradcheck\.json",)) as stage:
             _write_json(stage("gradcheck.json"), {
                 "max_relative_error": error, "threshold": 1e-3, "passed": error < 1e-3})
     if error >= 1e-3:

@@ -62,7 +62,7 @@ class DatasetSplit:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Dense token/user/item id tables. Ids 0..9 are the special tokens."""
+    """Dense token/user/item id tables, each without repeats. Ids 0..9 are the special tokens, in order."""
 
     id_to_token: tuple[str, ...]
     id_to_user: tuple[str, ...]
@@ -76,8 +76,14 @@ class Vocabulary:
             object.__setattr__(self, "token_to_id", {t: i for i, t in enumerate(self.id_to_token)})
             object.__setattr__(self, "user_to_id", {u: i for i, u in enumerate(self.id_to_user)})
             object.__setattr__(self, "item_to_id", {it: i for i, it in enumerate(self.id_to_item)})
-        if len(self.token_to_id) != len(self.id_to_token):
-            raise ValueError("token table is not a bijection")
+        if self.id_to_token[:len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
+            raise ValueError(f"the token table must start with the special tokens {' '.join(SPECIAL_TOKENS)}")
+        tables = (("token", self.id_to_token, self.token_to_id), ("user", self.id_to_user, self.user_to_id),
+                  ("item", self.id_to_item, self.item_to_id))
+        for kind, table, ids in tables:
+            if len(ids) != len(table):
+                repeated = next(name for name, count in Counter(table).items() if count > 1)
+                raise ValueError(f"{kind} {repeated!r} is listed more than once")
 
     @property
     def n_tokens(self) -> int:
@@ -256,6 +262,23 @@ def build_vocabulary(train_records: list[Record], max_tokens: int = MAX_VOCAB_TO
     )
 
 
+def prefix_ids(vocab: Vocabulary, user: str, item: str, features, emotion: str) -> list[int]:
+    """The ids [user, item, feature tokens, emotion tag] that precede <bos>, for training and decoding alike.
+
+    Raises ValueError for a user, item or emotion the vocabulary does not know.
+    """
+    if user not in vocab.user_to_id:
+        raise ValueError(f"unknown user {user!r}")
+    if item not in vocab.item_to_id:
+        raise ValueError(f"unknown item {item!r}")
+    return [
+        vocab.user_to_id[user],
+        vocab.item_to_id[item],
+        *(vocab.token_id(tok) for feat in features for tok in tokenize(feat)),
+        vocab.emotion_token_id(emotion),
+    ]
+
+
 def encode_example(record: Record, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> EncodedExample:
     """Lay a tagged record out as context ids, truncating long explanations.
 
@@ -264,34 +287,20 @@ def encode_example(record: Record, vocab: Vocabulary, max_len: int = DEFAULT_MAX
     """
     if record.emotion is None:
         raise ValueError(f"record ({record.user}, {record.item}) has no emotion tag; classify it first")
-    if record.user not in vocab.user_to_id:
-        raise ValueError(f"user {record.user!r} not in vocabulary")
-    if record.item not in vocab.item_to_id:
-        raise ValueError(f"item {record.item!r} not in vocabulary")
-
-    feature_ids = [vocab.token_id(tok) for feat in record.features for tok in tokenize(feat)]
-    prefix_len = 2 + len(feature_ids) + 1
-    budget = max_len - prefix_len - 2
+    prefix = prefix_ids(vocab, record.user, record.item, record.features, record.emotion)
+    budget = max_len - len(prefix) - 2
     if budget < 1:
         raise ValueError(
-            f"max_len {max_len} too small: prefix of {prefix_len} leaves no room "
+            f"max_len {max_len} too small: prefix of {len(prefix)} leaves no room "
             f"for <bos>, one explanation token and <eos>"
         )
     words = tokenize(record.explanation)[:budget]
-    ids = [
-        vocab.user_to_id[record.user],
-        vocab.item_to_id[record.item],
-        *feature_ids,
-        vocab.emotion_token_id(record.emotion),
-        BOS,
-        *(vocab.token_id(w) for w in words),
-        EOS,
-    ]
+    ids = [*prefix, BOS, *(vocab.token_id(w) for w in words), EOS]
     ids.extend([PAD] * (max_len - len(ids)))
     return EncodedExample(
         context_ids=tuple(ids),
         emotion_target=category_index(record.emotion),
-        prefix_len=prefix_len,
+        prefix_len=len(prefix),
         text_len=len(words),
     )
 
@@ -369,24 +378,29 @@ def generate_synthetic_corpus(spec: CorpusSpec, seed: int) -> list[Record]:
         rng.shuffle(items)
         pairs = list(zip(users, items))
 
-    neutral_pool = spec.pools["neutral"]
     records = []
     for (u, i), cat in zip(pairs, categories):
-        length = int(rng.integers(spec.min_words, spec.max_words + 1))
-        if cat == "neutral":
-            words = list(rng.choice(neutral_pool, size=length))
-        else:
-            n_emo = (length + 1) // 2
-            words = list(rng.choice(spec.pools[cat], size=n_emo))
-            words += list(rng.choice(neutral_pool, size=length - n_emo))
-            rng.shuffle(words)
-        # Features are aspect words, so prefer a neutral word from the text.
-        feature = next((w for w in words if w in neutral_pool), words[0])
+        words, feature = draw_pool_words(rng, spec.pools, cat, spec.min_words, spec.max_words)
         records.append(Record(
             user=f"u{u:03d}",
             item=f"i{i:03d}",
-            features=(str(feature),),
-            explanation=" ".join(str(w) for w in words),
+            features=(feature,),
+            explanation=" ".join(words),
             emotion=cat,
         ))
     return records
+
+
+def draw_pool_words(rng, pools: dict, category: str, min_words: int, max_words: int) -> tuple[list[str], str]:
+    """One explanation's words and its feature word; half the words, rounded up, come from ``category``'s pool."""
+    neutral_pool = pools["neutral"]
+    length = int(rng.integers(min_words, max_words + 1))
+    if category == "neutral":
+        words = [str(w) for w in rng.choice(neutral_pool, size=length)]
+    else:
+        n_emo = (length + 1) // 2
+        words = [str(w) for w in rng.choice(pools[category], size=n_emo)]
+        words += [str(w) for w in rng.choice(neutral_pool, size=length - n_emo)]
+        rng.shuffle(words)
+    # Features are aspect words, so prefer a neutral word from the text.
+    return words, next((w for w in words if w in neutral_pool), words[0])

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CorpusSpec
-from .lexicon import Lexicon, lexicon_from_triples
+from .corpus import CorpusSpec, Record, draw_pool_words
+from .lexicon import CATEGORIES, Lexicon, lexicon_from_triples
 
 POOLS: dict[str, tuple[str, ...]] = {
     "happy": (
@@ -86,37 +86,18 @@ def pool_corpus_spec(
 
 
 def signature_corpus(n_users: int = 8, n_items: int = 8, seed: int = 0,
-                     min_words: int = 3, max_words: int = 6) -> list:
+                     min_words: int = 3, max_words: int = 6) -> list[Record]:
     """One fixed explanation per user, repeated over every (user, item) pair.
 
     Because a user's explanation recurs across items, held-out records stay
     predictable from the training set; memorization then improves validation
     loss instead of fighting it, which is what overfitting tests need.
     """
-    from .corpus import Record
-    from .lexicon import CATEGORIES
-
     rng = np.random.default_rng(seed)
-    users = []
-    for u in range(n_users):
-        cat = CATEGORIES[u % len(CATEGORIES)]
-        length = int(rng.integers(min_words, max_words + 1))
-        if cat == "neutral":
-            words = [str(w) for w in rng.choice(POOLS["neutral"], size=length)]
-        else:
-            n_emo = (length + 1) // 2
-            words = [str(w) for w in rng.choice(POOLS[cat], size=n_emo)]
-            words += [str(w) for w in rng.choice(POOLS["neutral"], size=length - n_emo)]
-            rng.shuffle(words)
-        feature = next((w for w in words if w in POOLS["neutral"]), words[0])
-        users.append((cat, " ".join(words), feature))
-
     records = []
     for u in range(n_users):
-        cat, phrase, feature = users[u]
-        for i in range(n_items):
-            records.append(Record(
-                user=f"u{u:03d}", item=f"i{i:03d}", features=(feature,),
-                explanation=phrase, emotion=cat,
-            ))
+        cat = CATEGORIES[u % len(CATEGORIES)]
+        words, feature = draw_pool_words(rng, POOLS, cat, min_words, max_words)
+        records += [Record(user=f"u{u:03d}", item=f"i{i:03d}", features=(feature,),
+                           explanation=" ".join(words), emotion=cat) for i in range(n_items)]
     return records

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics as nm
-from .corpus import BOS, EOS, PAD, EncodedExample, Vocabulary, tokenize
+from .corpus import BOS, EOS, PAD, EncodedExample, Vocabulary, prefix_ids
 from .lexicon import Lexicon, category_index
 from .model import (
     DecodeCache,
@@ -50,23 +50,11 @@ def _prefix_example(config: ModelConfig, vocab: Vocabulary, query: GenerationQue
     Raises ValueError for an unknown user, item or emotion, or a prefix that
     leaves no room to generate within ``config.max_len``.
     """
-    if query.user not in vocab.user_to_id:
-        raise ValueError(f"unknown user {query.user!r}")
-    if query.item not in vocab.item_to_id:
-        raise ValueError(f"unknown item {query.item!r}")
-    tag_index = category_index(query.emotion)
-
-    feature_ids = [vocab.token_id(tok) for feat in query.features for tok in tokenize(feat)]
-    prefix = [
-        vocab.user_to_id[query.user],
-        vocab.item_to_id[query.item],
-        *feature_ids,
-        vocab.emotion_token_id(query.emotion),
-    ]
-    prefix_len = len(prefix)
-    if prefix_len + 2 > config.max_len:
-        raise ValueError(f"prefix of {prefix_len} leaves no generation room within max_len {config.max_len}")
-    return EncodedExample(context_ids=(*prefix, BOS), emotion_target=tag_index, prefix_len=prefix_len, text_len=0)
+    prefix = prefix_ids(vocab, query.user, query.item, query.features, query.emotion)
+    if len(prefix) + 2 > config.max_len:
+        raise ValueError(f"prefix of {len(prefix)} leaves no generation room within max_len {config.max_len}")
+    return EncodedExample(context_ids=(*prefix, BOS), emotion_target=category_index(query.emotion),
+                          prefix_len=len(prefix), text_len=0)
 
 
 def generate(

@@ -41,8 +41,15 @@ class EvaluationPair:
         )
 
 
-def _ngrams(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _clipped_overlap(pair: EvaluationPair, n: int) -> tuple[int, int, int]:
+    """(hypothesis n-grams the reference holds, each counted at most as often as there,
+    hypothesis n-grams, reference n-grams)."""
+    hyp, ref = pair.hypothesis, pair.reference
+    # Zipping the n shifted copies of a sequence yields its n-grams as tuples.
+    hyp_counts = Counter(zip(*(hyp[i:] for i in range(n))))
+    ref_counts = Counter(zip(*(ref[i:] for i in range(n))))
+    matched = sum(min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
+    return matched, max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0)
 
 
 def bleu(pairs: list[EvaluationPair], n: int) -> float:
@@ -61,10 +68,9 @@ def bleu(pairs: list[EvaluationPair], n: int) -> float:
         matched = 0
         total = 0
         for pair in pairs:
-            hyp_counts = _ngrams(pair.hypothesis, order)
-            ref_counts = _ngrams(pair.reference, order)
-            matched += sum(min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
-            total += sum(hyp_counts.values())
+            overlap, n_hyp, _ = _clipped_overlap(pair, order)
+            matched += overlap
+            total += n_hyp
         if total == 0:
             continue  # vacuous order: no hypothesis n-grams exist to mismatch
         if matched == 0:
@@ -80,11 +86,7 @@ def rouge(pairs: list[EvaluationPair], n: int) -> tuple[float, float, float]:
         raise ValueError("rouge needs at least one pair")
     p_sum = r_sum = f_sum = 0.0
     for pair in pairs:
-        hyp_counts = _ngrams(pair.hypothesis, n)
-        ref_counts = _ngrams(pair.reference, n)
-        overlap = sum(min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
-        n_hyp = sum(hyp_counts.values())
-        n_ref = sum(ref_counts.values())
+        overlap, n_hyp, n_ref = _clipped_overlap(pair, n)
         p = overlap / n_hyp if n_hyp else 0.0
         r = overlap / n_ref if n_ref else 0.0
         f = 2.0 * p * r / (p + r) if p + r else 0.0

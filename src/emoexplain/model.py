@@ -83,12 +83,7 @@ class LayerParams:
     ln2_beta: Parameter
 
     def all(self) -> list[Parameter]:
-        return [
-            self.wq, self.wk, self.wv, self.wo, self.bo,
-            self.ln1_gamma, self.ln1_beta,
-            self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2,
-            self.ln2_gamma, self.ln2_beta,
-        ]
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 def _uniform(rng, shape):
@@ -285,13 +280,6 @@ def _encoder_stack(x: Tensor, layers: list[LayerParams], n_heads: int, cache: St
     return x
 
 
-def _positions(params: ModelParams, config: ModelConfig, start: int, rows: int) -> Tensor:
-    """Positional rows for positions start .. start + rows - 1."""
-    if (start, rows) == (0, config.max_len):
-        return params.positional
-    return nm.slice_rows(params.positional, start, start + rows)
-
-
 def emotion_embed(params: ModelParams, intensities: Tensor) -> Tensor:
     """The emotion MLP g: rows of 6 intensities to rows of embed_dim."""
     h = nm.relu(nm.add(nm.matmul(intensities, params.emo_w1), params.emo_b1))
@@ -338,7 +326,7 @@ def encode_emotion_from_matrix(
     if (vnrc.ndim not in (2, 3) or vnrc.shape[-1] != N_EMOTIONS or not 0 < vnrc.shape[-2] <= config.max_len
             or (cache is None and vnrc.ndim == 2 and vnrc.shape[0] != config.max_len)):
         raise ValueError(f"emotion input shape {vnrc.shape}, expected ({config.max_len}, {N_EMOTIONS})")
-    x = nm.add(emotion_embed(params, Tensor(vnrc)), _positions(params, config, start, vnrc.shape[-2]))
+    x = nm.add(emotion_embed(params, Tensor(vnrc)), nm.slice_rows(params.positional, start, start + vnrc.shape[-2]))
     return _encoder_stack(x, params.emotion_encoder, config.attention_heads, cache)
 
 
@@ -368,7 +356,7 @@ def encode_context(
         x = nm.concat([user_vec, item_vec, token_vecs], axis=-2)
     else:
         x = nm.embedding(params.token_embedding, ids)
-    x = nm.add(x, _positions(params, config, start, length))
+    x = nm.add(x, nm.slice_rows(params.positional, start, start + length))
     return _encoder_stack(x, params.context_encoder, config.attention_heads, cache)
 
 
@@ -427,11 +415,8 @@ def next_token_logits(
     gives a (B, n_tokens) block, the last row of each of its slices.
     """
     decoded = _decoded(example, params, config, vnrc, cache)
-    last = decoded.data.shape[-2]
-    if decoded.data.ndim == 3:
-        rows = nm.gather_rows(decoded, np.full((decoded.data.shape[0], 1), last - 1))
-        return nm.matmul(rows, params.token_embedding, transpose_b=True).data[:, 0]
-    return nm.matmul(nm.slice_rows(decoded, last - 1, last), params.token_embedding, transpose_b=True).data[0]
+    last_row = np.full((*decoded.data.shape[:-2], 1), decoded.data.shape[-2] - 1)
+    return nm.matmul(nm.gather_rows(decoded, last_row), params.token_embedding, transpose_b=True).data[..., 0, :]
 
 
 def emotion_head(state: ForwardState, example: EncodedExample | Batch) -> Tensor:

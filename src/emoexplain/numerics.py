@@ -91,10 +91,14 @@ class Parameter(Tensor):
         self._grad = value
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, where=None) -> None:
+    """Add ``g`` into ``t``'s gradient, made on first use; with ``where``, into ``t.grad[where]``, repeats summing."""
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if where is None:
+        t.grad += g
+    else:
+        np.add.at(t.grad, where, g)
 
 
 def _result(op: str, data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -225,9 +229,7 @@ def embedding(table: Tensor, ids) -> Tensor:
 
     def backward_fn(g):
         if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
+            _accumulate(table, g, idx)
 
     return _result("embedding", table.data[idx], (table,), backward_fn)
 
@@ -253,9 +255,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[start:stop] += g
+            _accumulate(a, g, slice(start, stop))
 
     return _result("slice_rows", a.data[start:stop].copy(), (a,), backward_fn)
 
@@ -272,9 +272,7 @@ def gather_rows(a: Tensor, rows) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, where, g)
+            _accumulate(a, g, where)
 
     return _result("gather_rows", a.data[where], (a,), backward_fn)
 

@@ -334,6 +334,39 @@ def test_vocab_without_tokens_exits_2_naming_path(tmp_path, prepared_dir, traine
     assert str(vocab_path) in capsys.readouterr().err
 
 
+def _damage_vocab(path: Path, damage: str) -> None:
+    vocab = json.loads(path.read_text())
+    if damage == "specials_removed":
+        vocab["tokens"] = vocab["tokens"][10:]
+    elif damage == "specials_reordered":
+        vocab["tokens"][0], vocab["tokens"][1] = vocab["tokens"][1], vocab["tokens"][0]
+    else:
+        vocab["users"].append(vocab["users"][0])
+    path.write_text(json.dumps(vocab), encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage", ["specials_removed", "specials_reordered", "user_repeated"])
+@pytest.mark.parametrize("command", ["train", "generate"])
+def test_malformed_vocab_exits_2_naming_path_and_writes_nothing(
+        tmp_path, prepared_dir, trained_dir, capsys, command, damage):
+    """Without its special tokens first and in order, ``<bos>``, ``<eos>`` and ``<pad>`` would be plain words."""
+    lexicon, out = str(FIXTURE_LEXICON_PATH), tmp_path / "out"
+    if command == "train":
+        data = tmp_path / "prep"
+        shutil.copytree(prepared_dir, data)
+        vocab_path = data / "vocab.json"
+        argv = ["train", "--data", str(data), "--lexicon", lexicon, "--out", str(out), *SMALL_MODEL]
+    else:
+        checkpoint = _checkpoint_copy(trained_dir, tmp_path / "ckpt")
+        vocab_path = tmp_path / "ckpt" / "vocab.json"
+        argv = ["generate", "--data", str(prepared_dir), "--checkpoint", str(checkpoint), "--lexicon", lexicon,
+                "--out", str(out), "--max-tokens", "3"]
+    _damage_vocab(vocab_path, damage)
+    assert main(argv) == 2
+    assert str(vocab_path) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_value_error_names_path_and_line(tmp_path, corpus_file, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("vocab_cap=17\nseed=abc\n", encoding="utf-8")
@@ -671,12 +704,15 @@ def test_rerun_removes_the_outputs_it_did_not_write(tmp_path, command_argv, firs
     """After a rerun, ``out`` holds what the second command writes into an empty directory, plus foreign files."""
     out, alone = tmp_path / "out", tmp_path / "alone"
     assert main(command_argv(first, out)) == 0
-    (out / "notes.txt").write_text("kept\n")
+    foreign = ("notes.txt", "run1.log", "run2notes/kept.txt")  # only directories named run<digits> are train's
+    for name in foreign:
+        (out / name).parent.mkdir(exist_ok=True)
+        (out / name).write_text("kept\n")
     assert main(command_argv(second, out)) == 0
     assert main(command_argv(second, alone)) == 0
     entries = {path.relative_to(out).as_posix() for path in out.rglob("*")}
-    assert entries == {path.relative_to(alone).as_posix() for path in alone.rglob("*")} | {"notes.txt"}
-    assert (out / "notes.txt").read_text() == "kept\n"
+    assert entries == {path.relative_to(alone).as_posix() for path in alone.rglob("*")} | {*foreign, "run2notes"}
+    assert all((out / name).read_text() == "kept\n" for name in foreign)
 
 
 def test_out_that_is_an_input_directory_exits_2_and_changes_nothing(tmp_path, corpus_file, trained_dir, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -14,6 +16,7 @@ from emoexplain.corpus import (
     UNK,
     CorpusSpec,
     Record,
+    Vocabulary,
     build_vocabulary,
     encode_example,
     generate_synthetic_corpus,
@@ -22,7 +25,7 @@ from emoexplain.corpus import (
     split_dataset,
     tokenize,
 )
-from emoexplain.fixtures import POOLS, pool_corpus_spec
+from emoexplain.fixtures import POOLS, pool_corpus_spec, signature_corpus
 from emoexplain.lexicon import classify_explanation
 
 
@@ -244,6 +247,18 @@ def test_vocabulary_bijection(small_records):
         assert vocab.id_to_token[idx] == token
 
 
+@pytest.mark.parametrize("tables,message", [
+    ((("bar", "lobby"), ("u000",), ("i000",)), "must start with the special tokens"),
+    (((SPECIAL_TOKENS[1], SPECIAL_TOKENS[0], *SPECIAL_TOKENS[2:]), ("u000",), ("i000",)), "must start with"),
+    ((SPECIAL_TOKENS + ("bar", "bar"), ("u000",), ("i000",)), "token 'bar' is listed more than once"),
+    ((SPECIAL_TOKENS, ("u000", "u001", "u000"), ("i000",)), "user 'u000' is listed more than once"),
+    ((SPECIAL_TOKENS, ("u000",), ("i001", "i001")), "item 'i001' is listed more than once"),
+])
+def test_vocabulary_rejects_missing_specials_and_repeats(tables, message):
+    with pytest.raises(ValueError, match=message):
+        Vocabulary(*tables)
+
+
 # --- encoding ----------------------------------------------------------------
 
 def test_encode_layout(tiny_vocab):
@@ -370,3 +385,36 @@ def test_synthetic_grid_mode_covers_all_pairs():
     spec = pool_corpus_spec(4, 4, 16, (0.3, 0.1, 0.2, 0.1, 0.1, 0.2))
     records = generate_synthetic_corpus(spec, seed=8)
     assert len({(r.user, r.item) for r in records}) == 16
+
+
+def _digest(records: list[Record]) -> str:
+    rows = [[r.user, r.item, list(r.features), r.explanation, r.emotion] for r in records]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+SYNTHETIC_SPECS = {
+    "bijective": pool_corpus_spec(10, 20, 200, (0.6, 0.05, 0.1, 0.1, 0.05, 0.1)),
+    "round_robin": pool_corpus_spec(7, 9, 50, (0.2, 0.2, 0.1, 0.2, 0.1, 0.2), min_words=3, max_words=12),
+}
+
+
+@pytest.mark.parametrize("spec,seed,digest", [
+    ("bijective", 0, "6aee509252230135289b84d6d6bb75a03c038defde6e41c2cf29e48d507a4576"),
+    ("bijective", 1, "e79dfc6d4ec61d4a6dd9d7b35a40ae688ae4493fed707b02b62b4f5a40206834"),
+    ("bijective", 2, "9d7537618049e7ccc600e24d055f4f61f2d70bd453c579c03b56480eaa376d92"),
+    ("round_robin", 0, "5fc15ca90527b79a3422d8ebef0172901aefcfd73804e72c673277352acc7164"),
+    ("round_robin", 1, "a458383794308cede1e841ac30f6c0b549de3eb569677c3a33e9a3314706e700"),
+    ("round_robin", 2, "d3d793731b447f8aad95931b55ef151e531ae83c809b153f9ef6f5dcc93c6f51"),
+])
+def test_synthetic_corpus_bytes_are_pinned(spec, seed, digest):
+    """Each draw and its order on the generator decide these bytes; tests that train on such corpora rest on them."""
+    assert _digest(generate_synthetic_corpus(SYNTHETIC_SPECS[spec], seed)) == digest
+
+
+@pytest.mark.parametrize("kwargs,digest", [
+    ({}, "5786d80f5c778961afb47d42d0f9997d3cf18c0129fa7bd4659ef61145339159"),
+    ({"n_users": 6, "n_items": 4, "seed": 2, "min_words": 3, "max_words": 4},
+     "f02b498baba079b1db4378c9f5d4e83dae0e0c1b038d58f5732c3d2e287702f8"),
+])
+def test_signature_corpus_bytes_are_pinned(kwargs, digest):
+    assert _digest(signature_corpus(**kwargs)) == digest

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from emoexplain import generator
-from emoexplain.corpus import tokenize
+from emoexplain.corpus import Record, encode_example, tokenize
 from emoexplain.generator import GeneratedText, GenerationQuery, batch_generate, generate
 from emoexplain.model import ModelParams
 
@@ -69,6 +69,16 @@ def test_generate_unknown_item_errors(trained, lex):
     params, config, vocab, _ = trained
     with pytest.raises(ValueError, match="unknown item"):
         generate(params, config, vocab, lex, GenerationQuery("u000", "nowhere", ("f",), "happy"))
+
+
+@pytest.mark.parametrize("user,item", [("nobody", "i000"), ("u000", "nowhere")])
+def test_unknown_user_or_item_reads_the_same_in_training_and_generation(trained, lex, user, item):
+    params, config, vocab, _ = trained
+    with pytest.raises(ValueError) as from_generate:
+        generate(params, config, vocab, lex, GenerationQuery(user, item, ("f",), "happy"))
+    with pytest.raises(ValueError) as from_encode:
+        encode_example(Record(user, item, ("f",), "nice bar", "happy"), vocab, config.max_len)
+    assert str(from_encode.value) == str(from_generate.value)
 
 
 def test_query_requires_features():
