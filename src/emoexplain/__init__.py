@@ -23,7 +23,7 @@ from .lexicon import (
     word_emotion,
 )
 from .model import ModelConfig, ModelParams
-from .trainer import TrainConfig, TrainHistory, ablation_grid, evaluate_loss, train
+from .trainer import TrainConfig, TrainHistory, ablation_grid, train
 from .generator import GenerationQuery, batch_generate, generate
 from .metrics import (
     EvaluationPair,

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
-from .corpus import CorpusSpec, Record, draw_pool_words
-from .lexicon import CATEGORIES, Lexicon, lexicon_from_triples
+from .corpus import CorpusSpec
+from .lexicon import Lexicon, lexicon_from_triples
 
 POOLS: dict[str, tuple[str, ...]] = {
     "happy": (
@@ -84,20 +82,3 @@ def pool_corpus_spec(
         max_words=max_words,
     )
 
-
-def signature_corpus(n_users: int = 8, n_items: int = 8, seed: int = 0,
-                     min_words: int = 3, max_words: int = 6) -> list[Record]:
-    """One fixed explanation per user, repeated over every (user, item) pair.
-
-    Because a user's explanation recurs across items, held-out records stay
-    predictable from the training set; memorization then improves validation
-    loss instead of fighting it, which is what overfitting tests need.
-    """
-    rng = np.random.default_rng(seed)
-    records = []
-    for u in range(n_users):
-        cat = CATEGORIES[u % len(CATEGORIES)]
-        words, feature = draw_pool_words(rng, POOLS, cat, min_words, max_words)
-        records += [Record(user=f"u{u:03d}", item=f"i{i:03d}", features=(feature,),
-                           explanation=" ".join(words), emotion=cat) for i in range(n_items)]
-    return records

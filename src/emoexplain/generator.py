@@ -61,32 +61,17 @@ def generate(
     params: ModelParams, config: ModelConfig, vocab: Vocabulary, lex: Lexicon,
     query: GenerationQuery,
 ) -> list[str]:
-    """Argmax decoding from the [user, item, features, tag, <bos>] prefix.
+    """Argmax decoding from the [user, item, features, tag, <bos>] prefix, as ``_decode_group`` of one query.
 
     Stops at <eos>, ``max_tokens`` words, or the model's length budget.  <pad>
     and <bos> are excluded from the argmax, and ties resolve to the lowest
     token id, so the output is a pure function of (params, query).
     """
     example = _prefix_example(config, vocab, query)
-    prefix_len = example.prefix_len
-
-    # The first step feeds the prefix and <bos>; every later step feeds only
-    # the token the step before emitted, and the cache supplies the rest.
-    vnrc = emotion_input_matrix(example, vocab, lex, config.mask_emotion_tag)
-    cache = DecodeCache()
-    generated: list[int] = []
-    with nm.no_grad():
-        while len(generated) < query.max_tokens and prefix_len + 1 + len(generated) < config.max_len:
-            scores = next_token_logits(example, params, config, vnrc, cache)
-            scores[PAD] = -np.inf
-            scores[BOS] = -np.inf
-            next_id = int(np.argmax(scores))
-            if next_id == EOS:
-                break
-            generated.append(next_id)
-            example = replace(example, context_ids=(next_id,))
-            vnrc = np.array([token_emotion(next_id, vocab, lex)])
-    return [vocab.id_to_token[i] for i in generated]
+    if query.max_tokens == 0:
+        return []
+    tokens, _ = _decode_group(params, config, vocab, lex, [query], [(0, example)])[0]
+    return [vocab.id_to_token[i] for i in tokens]
 
 
 def _decode_group(
@@ -96,10 +81,11 @@ def _decode_group(
     """Greedy decoding of ``members``, (query index, prefix) pairs whose prefixes have one length
     and whose queries allow at least one token.
 
-    The rows step in lock step as one (B, ·, d) stack.  A row stops as
-    ``generate`` does, on <eos>, ``max_tokens`` or the length budget, and then
-    leaves the stack and every cached K/V.  Returns each member's token ids
-    and stop reason.
+    The rows step in lock step as one (B, ·, d) stack: the first step feeds
+    each prefix and <bos>, every later step only the token the step before
+    emitted, and the cache supplies the rest.  A row stops on <eos>,
+    ``max_tokens`` or the length budget, and then leaves the stack and every
+    cached K/V.  Returns each member's token ids and stop reason.
     """
     budget = config.max_len - members[0][1].prefix_len - 1
     batch, vnrc = make_batch([(ex, emotion_input_matrix(ex, vocab, lex, config.mask_emotion_tag)) for _, ex in members])

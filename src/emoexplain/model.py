@@ -50,8 +50,9 @@ class ModelConfig:
                 raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
         if self.embed_dim % self.attention_heads:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by {self.attention_heads} heads")
-        if self.intensity < 0 or self.c1 < 0 or self.c2 < 0:
-            raise ValueError("intensity, c1 and c2 must be non-negative")
+        for name in ("intensity", "c1", "c2"):
+            if not 0 <= getattr(self, name) < np.inf:  # also false for nan
+                raise ValueError(f"{name} must be a finite non-negative number, got {getattr(self, name)}")
 
 
 def config_for_vocab(vocab: Vocabulary, **overrides) -> ModelConfig:
@@ -405,18 +406,16 @@ def forward(
 
 
 def next_token_logits(
-    example: EncodedExample | Batch, params: ModelParams, config: ModelConfig, vnrc: np.ndarray,
-    cache: DecodeCache,
+    batch: Batch, params: ModelParams, config: ModelConfig, vnrc: np.ndarray, cache: DecodeCache,
 ) -> np.ndarray:
-    """LM logits at the last of the positions that ``example`` and ``vnrc`` append to ``cache``.
+    """(B, n_tokens) LM logits at the last of the positions that ``batch`` and ``vnrc`` append to ``cache``.
 
-    Only that row goes through the LM head, and the emotion head is not
-    computed: this is the decoding step, run under ``no_grad``.  A ``Batch``
-    gives a (B, n_tokens) block, the last row of each of its slices.
+    Only each slice's last row goes through the LM head, and the emotion head
+    is not computed: this is the decoding step, run under ``no_grad``.
     """
-    decoded = _decoded(example, params, config, vnrc, cache)
-    last_row = np.full((*decoded.data.shape[:-2], 1), decoded.data.shape[-2] - 1)
-    return nm.matmul(nm.gather_rows(decoded, last_row), params.token_embedding, transpose_b=True).data[..., 0, :]
+    decoded = _decoded(batch, params, config, vnrc, cache)
+    last_row = np.full((len(decoded.data), 1), decoded.data.shape[1] - 1)
+    return nm.matmul(nm.gather_rows(decoded, last_row), params.token_embedding, transpose_b=True).data[:, 0]
 
 
 def emotion_head(state: ForwardState, example: EncodedExample | Batch) -> Tensor:

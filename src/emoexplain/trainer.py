@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics as nm
-from .corpus import DatasetSplit, Record, Vocabulary, assign_emotion_tags, encode_example
+from .corpus import DatasetSplit, Vocabulary, assign_emotion_tags, encode_example
 from .lexicon import Lexicon
 from .model import (
     ModelConfig,
@@ -30,8 +30,9 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.batch_size, self.max_epochs, self.patience) <= 0:
             raise ValueError("batch_size, max_epochs and patience must be positive")
-        if self.learning_rate <= 0 or self.clip <= 0:
-            raise ValueError("learning_rate and clip must be positive")
+        for name in ("learning_rate", "clip"):
+            if not 0 < getattr(self, name) < np.inf:  # also false for nan
+                raise ValueError(f"{name} must be a finite positive number, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -93,16 +94,6 @@ def _mean_losses(params: ModelParams, prepared, config: ModelConfig, batch_size:
     n = len(prepared)
     lm_mean, emo_mean = lm_sum / n, emo_sum / n
     return lm_mean, emo_mean, config.c1 * lm_mean + config.c2 * emo_mean
-
-
-def evaluate_loss(
-    params: ModelParams, records: list[Record], config: ModelConfig,
-    vocab: Vocabulary, lex: Lexicon,
-) -> tuple[float, float, float]:
-    """(L_lm, L_emo, L_total) averaged over records, without touching parameters."""
-    if not records:
-        raise ValueError("evaluate_loss needs at least one record")
-    return _mean_losses(params, _prepare(records, vocab, lex, config), config, TrainConfig.batch_size)
 
 
 def train(

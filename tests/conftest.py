@@ -2,13 +2,33 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from emoexplain.corpus import Record, Vocabulary, build_vocabulary, split_dataset
-from emoexplain.fixtures import fixture_lexicon, signature_corpus
+from emoexplain.corpus import Record, Vocabulary, build_vocabulary, draw_pool_words, split_dataset
+from emoexplain.fixtures import POOLS, fixture_lexicon
+from emoexplain.lexicon import CATEGORIES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_LEXICON_PATH = REPO_ROOT / "data" / "fixture_lexicon.tsv"
+
+
+def signature_corpus(n_users: int = 8, n_items: int = 8, seed: int = 0,
+                     min_words: int = 3, max_words: int = 6) -> list[Record]:
+    """One fixed explanation per user, repeated over every (user, item) pair.
+
+    Because a user's explanation recurs across items, held-out records stay
+    predictable from the training set; memorization then improves validation
+    loss instead of fighting it, which is what overfitting tests need.
+    """
+    rng = np.random.default_rng(seed)
+    records = []
+    for u in range(n_users):
+        cat = CATEGORIES[u % len(CATEGORIES)]
+        words, feature = draw_pool_words(rng, POOLS, cat, min_words, max_words)
+        records += [Record(user=f"u{u:03d}", item=f"i{i:03d}", features=(feature,),
+                           explanation=" ".join(words), emotion=cat) for i in range(n_items)]
+    return records
 
 
 @pytest.fixture(scope="session")

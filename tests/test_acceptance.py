@@ -26,7 +26,7 @@ from emoexplain.corpus import (
     save_records,
     split_dataset,
 )
-from emoexplain.fixtures import fixture_lexicon, pool_corpus_spec, signature_corpus
+from emoexplain.fixtures import fixture_lexicon, pool_corpus_spec
 from emoexplain.generator import GenerationQuery, batch_generate, generate
 from emoexplain.metrics import (
     EvaluationPair,
@@ -52,7 +52,7 @@ from emoexplain.model import (
 from emoexplain.trainer import TrainConfig, train
 
 from . import oracles
-from .conftest import FIXTURE_LEXICON_PATH, REPO_ROOT
+from .conftest import FIXTURE_LEXICON_PATH, REPO_ROOT, signature_corpus
 
 
 def _passed(number: int, name: str) -> None:

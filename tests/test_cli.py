@@ -320,6 +320,58 @@ def test_generate_needs_vocab_beside_checkpoint(tmp_path, prepared_dir, trained_
     assert str(tmp_path / "ckpt" / "vocab.json") in capsys.readouterr().err
 
 
+# (command, key, value, source). generate takes model keys from the checkpoint's config.txt
+# unless a flag sets them, so a --config file cannot reach it; the next test covers that file.
+NON_FINITE_CASES = [
+    *((*case, source) for case in (
+        ("gradcheck", "intensity", "nan"),
+        ("gradcheck", "c2", "inf"),
+        ("gradcheck", "c1", "-inf"),
+        ("train", "learning_rate", "nan"),
+        ("train", "clip", "inf"),
+        ("train", "clip", "-inf"),
+    ) for source in ("flag", "config")),
+    ("generate", "intensity", "nan", "flag"),
+]
+
+
+@pytest.mark.parametrize("command,key,value,source", NON_FINITE_CASES)
+def test_non_finite_float_exits_2_naming_the_field(tmp_path, prepared_dir, trained_dir, capsys,
+                                                   command, key, value, source):
+    lexicon = ["--lexicon", str(FIXTURE_LEXICON_PATH)]
+    argv = {
+        "gradcheck": ["gradcheck"],
+        "train": ["train", "--data", str(prepared_dir), *lexicon, "--embed-dim", "8", "--ffn-dim", "16"],
+        "generate": ["generate", "--data", str(prepared_dir), *lexicon,
+                     "--checkpoint", str(trained_dir / "model.emot")],
+    }[command]
+    if source == "flag":
+        argv.append(f"--{key.replace('_', '-')}={value}")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"{key} must be a finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_generate_refuses_a_non_finite_float_in_the_checkpoint_config(tmp_path, prepared_dir, trained_dir, capsys):
+    checkpoint = _checkpoint_copy(trained_dir, tmp_path / "ckpt")
+    config_path = tmp_path / "ckpt" / "config.txt"
+    lines = config_path.read_text(encoding="utf-8").splitlines()
+    config_path.write_text("".join(("c2=inf" if line.startswith("c2=") else line) + "\n" for line in lines),
+                           encoding="utf-8")
+    code = main([
+        "generate", "--data", str(prepared_dir), "--checkpoint", str(checkpoint),
+        "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(tmp_path / "gen"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "c2 must be a finite non-negative number, got inf" in err and str(config_path) in err
+
+
 def test_vocab_without_tokens_exits_2_naming_path(tmp_path, prepared_dir, trained_dir, capsys):
     checkpoint = _checkpoint_copy(trained_dir, tmp_path / "ckpt")
     vocab_path = tmp_path / "ckpt" / "vocab.json"

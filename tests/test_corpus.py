@@ -25,8 +25,10 @@ from emoexplain.corpus import (
     split_dataset,
     tokenize,
 )
-from emoexplain.fixtures import POOLS, pool_corpus_spec, signature_corpus
+from emoexplain.fixtures import POOLS, pool_corpus_spec
 from emoexplain.lexicon import classify_explanation
+
+from .conftest import signature_corpus
 
 
 # --- tokenize -------------------------------------------------------------

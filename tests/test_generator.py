@@ -318,3 +318,21 @@ def test_lock_step_drops_rows_that_stop_early(monkeypatch, trained, lex):
     results = batch_generate(params, config, vocab, lex, queries)
     assert [len(r.tokens) for r in results] == [3, 9, 0, 5, 9]
     assert sizes == [4, 4, 4, 3, 3, 2, 2, 2, 2]
+
+
+def test_argmax_ties_go_to_the_lowest_token_id(monkeypatch, trained, lex):
+    # Two word ids share each step's maximum exactly; both decoders must take the lower one.
+    params, config, vocab, split = trained
+    low, high = len(vocab.id_to_token) - 2, len(vocab.id_to_token) - 1
+    step = generator.next_token_logits
+
+    def tied(*args):
+        out = step(*args)
+        out[:, [low, high]] = out.max() + 1.0
+        return out
+
+    monkeypatch.setattr(generator, "next_token_logits", tied)
+    queries = [GenerationQuery(r.user, r.item, r.features, r.emotion, max_tokens=3) for r in split.test[:2]]
+    expected = [vocab.id_to_token[low]] * 3
+    assert [generate(params, config, vocab, lex, q) for q in queries] == [expected, expected]
+    assert [list(r.tokens) for r in batch_generate(params, config, vocab, lex, queries)] == [expected, expected]

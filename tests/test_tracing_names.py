@@ -10,8 +10,10 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from emoexplain import generator, model
@@ -74,11 +76,27 @@ def test_training_and_generation_reach_every_traced_model_function(tracing, tiny
     assert expected <= tracer.fired(), expected - tracer.fired()
 
 
+# Positions each stack is fed, B x n, read from its first argument: (B, n, ·) inputs, (B, n) ids.
+STACK_POSITIONS = {
+    "encode_emotion_from_matrix": lambda vnrc: math.prod(vnrc.shape[:-1]),
+    "encode_context": lambda batch: np.asarray(batch.context_ids).size,
+    "decode": lambda hidden: math.prod(hidden.data.shape[:-1]),
+}
+
+
 @pytest.mark.parametrize("max_tokens", [0, 1, 3, 50])
-def test_generate_decodes_once_per_step_and_feeds_each_position_once(tracing, tiny, tiny_vocab, lex, max_tokens):
+def test_generate_decodes_once_per_step_and_feeds_each_position_once(
+    monkeypatch, tracing, tiny, tiny_vocab, lex, max_tokens,
+):
     config, params, _, _ = tiny
     query = GenerationQuery("u000", "i001", ("lobby",), "happy", max_tokens=max_tokens)
-    tracer = tracing.Tracer()
+    fed = []
+    for fn, positions in STACK_POSITIONS.items():
+        def counted(first, *args, _fn=getattr(model, fn), _positions=positions, **kwargs):
+            fed.append(_positions(first))
+            return _fn(first, *args, **kwargs)
+        monkeypatch.setattr(model, fn, counted)
+    tracer = tracing.Tracer()  # installed over the counters, so it restores them
     tracer.install()
     try:
         tokens = generator.generate(params, config, tiny_vocab, lex, query)  # the wrapped function
@@ -90,4 +108,4 @@ def test_generate_decodes_once_per_step_and_feeds_each_position_once(tracing, ti
     decode_id = tracer.names.index("model.decode")
     assert sum(1 for i in tracer.name_id if i == decode_id) == steps
     # The first step feeds the prefix and <bos>, each later step one position, to each of the three stacks.
-    assert tracer.rows[tracing.QUERY] == (3 * (prefix_len + steps) if steps else 0)
+    assert sum(fed) == (3 * (prefix_len + steps) if steps else 0)

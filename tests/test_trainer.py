@@ -14,8 +14,9 @@ from emoexplain.trainer import (
     ABLATION_INTENSITIES,
     ABLATION_LOSS_SETTINGS,
     TrainConfig,
+    _mean_losses,
+    _prepare,
     ablation_grid,
-    evaluate_loss,
     train,
 )
 
@@ -171,32 +172,35 @@ def test_train_returns_the_best_epoch_weights(monkeypatch, small_split, small_vo
         assert np.array_equal(p.data, want)
 
 
-def test_evaluate_loss_after_overfit_run(overfit_setup, lex):
+def _losses(params, records, config, vocab, lex, batch_size: int = 8) -> tuple[float, float, float]:
+    """(L_lm, L_emo, L_total) of ``params`` averaged over ``records``, as ``train`` measures validation."""
+    return _mean_losses(params, _prepare(records, vocab, lex, config), config, batch_size)
+
+
+def test_overfit_run_memorizes_its_training_records(overfit_setup, lex):
     params, config, vocab, split, _ = overfit_setup
-    _, _, total = evaluate_loss(params, list(split.train), config, vocab, lex)
+    _, _, total = _losses(params, split.train, config, vocab, lex)
     assert total < 0.05
 
 
-def test_evaluate_loss_pure_and_consistent(small_split, small_vocab, lex):
+def test_returned_weights_score_the_best_epochs_validation_losses(small_split, small_vocab, lex):
     config = _config(small_vocab)
     tc = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=7)
-    params, _ = train(config, tc, small_split, lex, small_vocab)
+    params, history = train(config, tc, small_split, lex, small_vocab)
     snapshot = params.snapshot()
-    a = evaluate_loss(params, list(small_split.valid), config, small_vocab, lex)
-    b = evaluate_loss(params, list(small_split.valid), config, small_vocab, lex)
-    assert a == b
+    best = history.epochs[history.best_epoch]
+    a = _losses(params, small_split.valid, config, small_vocab, lex, tc.batch_size)
+    assert a == (best.valid_lm, best.valid_emo, best.valid_total)
+    assert a == _losses(params, small_split.valid, config, small_vocab, lex, tc.batch_size)
     assert a[2] == pytest.approx(config.c1 * a[0] + config.c2 * a[1], abs=1e-12)
     for p, before in zip(params.all(), snapshot):
         assert np.array_equal(p.data, before)
 
 
-def test_evaluate_loss_empty_errors(small_vocab, lex):
-    from emoexplain.model import ModelParams
-
-    config = _config(small_vocab)
-    params = ModelParams(config, seed=0)
-    with pytest.raises(ValueError, match="at least one record"):
-        evaluate_loss(params, [], config, small_vocab, lex)
+def test_train_rejects_an_empty_validation_split(small_split, small_vocab, lex):
+    tc = TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=0)
+    with pytest.raises(ValueError, match="must be non-empty"):
+        train(_config(small_vocab), tc, replace(small_split, valid=()), lex, small_vocab)
 
 
 def test_train_rejects_nonpositive_settings(small_vocab):
@@ -273,4 +277,4 @@ def test_train_with_more_items_than_tokens(lex):
     tc = TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=5)
     params, history = train(config, tc, split, lex, vocab)
     assert np.isfinite(history.epochs[0].valid_total)
-    assert np.all(np.isfinite(evaluate_loss(params, list(split.test), config, vocab, lex)))
+    assert np.all(np.isfinite(_losses(params, split.test, config, vocab, lex)))
