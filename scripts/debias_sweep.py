@@ -53,9 +53,10 @@ SELECTION_RULE = (
 _flat_matmul = nm.matmul
 
 
-def per_slice_matmul(a, b, transpose_b=False):
-    """``nm.matmul`` whose weight gradient sums one GEMM per slice of a stack, slice by slice."""
-    out = _flat_matmul(a, b, transpose_b)
+def per_slice_matmul(a, b, transpose_b=False, bias=None):
+    """``nm.matmul`` whose weight gradient sums one GEMM per slice of a stack, slice by slice;
+    its input and bias gradients are the library's."""
+    out = _flat_matmul(a, b, transpose_b, bias=bias)
     if out._backward_fn is not None:
         def backward_fn(g):
             if a.requires_grad:
@@ -64,6 +65,8 @@ def per_slice_matmul(a, b, transpose_b=False):
             if b.requires_grad:
                 for a_slice, g_slice in zip(a.data.reshape(-1, *a.data.shape[-2:]), g.reshape(-1, *g.shape[-2:])):
                     nm._accumulate(b, g_slice.T @ a_slice if transpose_b else a_slice.T @ g_slice)
+            if bias is not None and bias.requires_grad:
+                nm._accumulate(bias, nm._unbroadcast(g, bias.data.shape))
 
         out._backward_fn = backward_fn
     return out

@@ -418,10 +418,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out_dir = Path(resolved["out"])
     lex = load_lexicon(resolved["lexicon"])
 
+    # The checkpoint's config.txt ranks above the profile and below the --config file and flags.
     config_path = _beside_checkpoint(checkpoint, "config.txt")
     stored = _read_config_file(str(config_path))
+    given = set(_read_config_file(args.config)) if args.config else set()
+    given.update(key for key in MODEL_KEYS if getattr(args, key, None) is not None)
     for key in MODEL_KEYS:
-        if key in stored and getattr(args, key, None) is None:
+        if key in stored and key not in given:
             resolved[key] = stored[key]
 
     vocab_path = _beside_checkpoint(checkpoint, "vocab.json")
@@ -431,7 +434,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         config = _model_config(resolved, vocab)
         params = ModelParams(config, state=state)
     except ValueError as err:
-        raise ValueError(f"{checkpoint}: {err} (model built from {config_path} and {vocab_path})") from None
+        sources = f"{args.config}, {config_path}" if args.config else config_path
+        raise ValueError(f"{checkpoint}: {err} (model built from {sources} and {vocab_path})") from None
 
     (test,) = _load_split_dir(data_dir, "test")
     tagged = assign_emotion_tags(list(test), lex)

@@ -272,19 +272,18 @@ def _encoder_stack(x: Tensor, layers: list[LayerParams], n_heads: int, cache: St
                 cache[i] = (k, v)
             else:
                 cache.append((k, v))
-        att = nm.attention(q, k, v, n_heads)
-        att = nm.add(nm.matmul(att, lp.wo), lp.bo)
-        x = nm.layer_norm(nm.add(x, att), lp.ln1_gamma, lp.ln1_beta)
-        h = nm.relu(nm.add(nm.matmul(x, lp.ffn_w1), lp.ffn_b1))
-        h = nm.add(nm.matmul(h, lp.ffn_w2), lp.ffn_b2)
-        x = nm.layer_norm(nm.add(x, h), lp.ln2_gamma, lp.ln2_beta)
+        att = nm.matmul(nm.attention(q, k, v, n_heads), lp.wo, bias=lp.bo)
+        x = nm.layer_norm(x, lp.ln1_gamma, lp.ln1_beta, residual=att)
+        h = nm.relu(nm.matmul(x, lp.ffn_w1, bias=lp.ffn_b1))
+        h = nm.matmul(h, lp.ffn_w2, bias=lp.ffn_b2)
+        x = nm.layer_norm(x, lp.ln2_gamma, lp.ln2_beta, residual=h)
     return x
 
 
 def emotion_embed(params: ModelParams, intensities: Tensor) -> Tensor:
     """The emotion MLP g: rows of 6 intensities to rows of embed_dim."""
-    h = nm.relu(nm.add(nm.matmul(intensities, params.emo_w1), params.emo_b1))
-    return nm.add(nm.matmul(h, params.emo_w2), params.emo_b2)
+    h = nm.relu(nm.matmul(intensities, params.emo_w1, bias=params.emo_b1))
+    return nm.matmul(h, params.emo_w2, bias=params.emo_b2)
 
 
 def emotion_input_matrix(

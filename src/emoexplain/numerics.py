@@ -126,8 +126,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # Primitives
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """``a @ b`` (or ``a @ b.T``) for a 2-d ``b``; ``a`` is (n, k) or a stack (B, n, k)."""
+def matmul(a: Tensor, b: Tensor, transpose_b: bool = False, bias: Tensor | None = None) -> Tensor:
+    """``a @ b`` (or ``a @ b.T``) for a 2-d ``b``; ``a`` is (n, k) or a stack (B, n, k).
+
+    A ``bias`` is added to the product in place, with ``add``'s broadcast and gradient.
+    """
     if a.data.ndim not in (2, 3) or b.data.ndim != 2:
         raise ValueError(f"matmul expects a 2-d or 3-d left and a 2-d right operand, "
                          f"got {a.data.shape} and {b.data.shape}")
@@ -138,6 +141,11 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     # (views of the contiguous stack), not one per slice; a 2-d ``a`` reshapes to itself.
     rows = a.data.reshape(-1, a.data.shape[-1])
     out_data = (rows @ (b.data.T if transpose_b else b.data)).reshape(*a.data.shape[:-1], cols)
+    if bias is not None:
+        try:
+            out_data += bias.data
+        except ValueError:
+            raise ValueError(f"matmul bias shape {bias.data.shape} does not fit output {out_data.shape}") from None
 
     def backward_fn(g):
         g_rows = g.reshape(-1, g.shape[-1])
@@ -145,8 +153,10 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
             _accumulate(a, (g_rows @ b.data if transpose_b else g_rows @ b.data.T).reshape(a.data.shape))
         if b.requires_grad:
             _accumulate(b, g_rows.T @ rows if transpose_b else rows.T @ g_rows)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
 
-    return _result("matmul", out_data, (a, b), backward_fn)
+    return _result("matmul", out_data, (a, b) if bias is None else (a, b, bias), backward_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -192,15 +202,23 @@ def tensor_sum(a: Tensor) -> Tensor:
     return _result("tensor_sum", a.data.sum(), (a,), backward_fn)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize each row to zero mean / unit variance, then scale and shift."""
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)``, bit for bit, without ``np.mean``'s Python-level dispatch."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12, residual: Tensor | None = None) -> Tensor:
+    """Normalize each row of ``x`` (of ``x + residual`` when given) to zero mean / unit variance,
+    then scale and shift; both summands get the same gradient."""
     if gamma.data.shape != x.data.shape[-1:] or beta.data.shape != x.data.shape[-1:]:
         raise ValueError(
             f"layer_norm affine shape mismatch: x {x.data.shape}, gamma {gamma.data.shape}, beta {beta.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    if residual is not None and residual.data.shape != x.data.shape:
+        raise ValueError(f"layer_norm residual shape {residual.data.shape} does not match x {x.data.shape}")
+    summed = x.data if residual is None else x.data + residual.data
+    centered = summed - _row_mean(summed)
+    var = _row_mean(centered * centered)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
 
@@ -211,12 +229,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
             _accumulate(gamma, (rows * xhat.reshape(rows.shape)).sum(axis=0))
         if beta.requires_grad:
             _accumulate(beta, rows.sum(axis=0))
-        if x.requires_grad:
+        inputs = [t for t in (x, residual) if t is not None and t.requires_grad]
+        if inputs:
             dxhat = g * gamma.data
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, inv * term)
+            dx = inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
+            for t in inputs:
+                _accumulate(t, dx)
 
-    return _result("layer_norm", xhat * gamma.data + beta.data, (x, gamma, beta), backward_fn)
+    parents = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
+    return _result("layer_norm", xhat * gamma.data + beta.data, parents, backward_fn)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -305,8 +326,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scores = (qh @ kh.swapaxes(-1, -2)) * scale
-    causal = np.tril(np.ones((m, n), dtype=bool), k=n - m)
-    scores = np.where(causal, scores, -np.inf)
+    if m > 1:  # one query row is the last position, which sees every key
+        scores = np.where(np.tril(np.ones((m, n), dtype=bool), k=n - m), scores, -np.inf)
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     att = e / e.sum(axis=-1, keepdims=True)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import inspect
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from emoexplain import numerics as nm
 from emoexplain.corpus import Record, Vocabulary, build_vocabulary, draw_pool_words, split_dataset
 from emoexplain.fixtures import POOLS, fixture_lexicon
 from emoexplain.lexicon import CATEGORIES
@@ -29,6 +32,24 @@ def signature_corpus(n_users: int = 8, n_items: int = 8, seed: int = 0,
         records += [Record(user=f"u{u:03d}", item=f"i{i:03d}", features=(feature,),
                            explanation=" ".join(words), emotion=cat) for i in range(n_items)]
     return records
+
+
+# The numerics functions that put a node on the graph: each ends in one call of ``_result``.
+GRAPH_OPS = tuple(name for name, fn in vars(nm).items()
+                  if inspect.isfunction(fn) and not name.startswith("_") and "_result" in fn.__code__.co_names)
+
+
+@pytest.fixture
+def op_calls(monkeypatch) -> Counter:
+    """Calls of each ``GRAPH_OPS`` function while the test runs, by name; callers look them up
+    through the module (``nm.matmul``), so each wrapper sits where they look."""
+    calls = Counter()
+    for name in GRAPH_OPS:
+        def counted(*args, _name=name, _fn=getattr(nm, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(nm, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

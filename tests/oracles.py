@@ -4,6 +4,9 @@ The metric oracles deliberately share no code with emoexplain.metrics: n-grams
 are enumerated with plain dicts and loops so the two implementations can only
 agree by computing the same quantity.  ``generate_oracle`` is greedy decoding
 without a cache: every step runs ``model.forward`` over all max_len positions.
+``biased_matmul_oracle`` and ``residual_layer_norm_oracle`` are the unfused
+compositions that ``matmul``'s ``bias`` and ``layer_norm``'s ``residual`` fold
+into one op each.
 """
 
 from __future__ import annotations
@@ -152,3 +155,13 @@ def generate_oracle(params, config, vocab, lex, query):
                 break
             generated.append(next_id)
     return [vocab.id_to_token[i] for i in generated], logits
+
+
+def biased_matmul_oracle(a, w, bias, transpose_b=False):
+    """``matmul(a, w, transpose_b, bias=bias)`` as two ops: the product, then ``add``."""
+    return nm.add(nm.matmul(a, w, transpose_b), bias)
+
+
+def residual_layer_norm_oracle(x, residual, gamma, beta):
+    """``layer_norm(x, gamma, beta, residual=residual)`` as two ops: ``add``, then the norm."""
+    return nm.layer_norm(nm.add(x, residual), gamma, beta)

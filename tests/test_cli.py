@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from emoexplain import cli
 from emoexplain.cli import main
 from emoexplain.corpus import generate_synthetic_corpus, load_records, save_records, tokenize
 from emoexplain.fixtures import pool_corpus_spec
@@ -320,8 +321,8 @@ def test_generate_needs_vocab_beside_checkpoint(tmp_path, prepared_dir, trained_
     assert str(tmp_path / "ckpt" / "vocab.json") in capsys.readouterr().err
 
 
-# (command, key, value, source). generate takes model keys from the checkpoint's config.txt
-# unless a flag sets them, so a --config file cannot reach it; the next test covers that file.
+# (command, key, value, source). generate's --config file, whose error also names that file,
+# and the checkpoint's config.txt are covered by the tests after this one.
 NON_FINITE_CASES = [
     *((*case, source) for case in (
         ("gradcheck", "intensity", "nan"),
@@ -354,6 +355,35 @@ def test_non_finite_float_exits_2_naming_the_field(tmp_path, prepared_dir, train
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert f"{key} must be a finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_generate_config_file_ranks_above_the_checkpoint_config(tmp_path, prepared_dir, trained_dir, monkeypatch):
+    assert "c2=1.0\n" in (trained_dir / "config.txt").read_text(encoding="utf-8")
+    used, real = [], cli.batch_generate
+
+    def recording(params, config, *rest):
+        used.append(config.c2)
+        return real(params, config, *rest)
+
+    monkeypatch.setattr(cli, "batch_generate", recording)
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("c2=0.5\nmax_tokens=3\n", encoding="utf-8")
+    out = tmp_path / "gen"
+    assert main(["generate", "--data", str(prepared_dir), "--checkpoint", str(trained_dir / "model.emot"),
+                 "--lexicon", str(FIXTURE_LEXICON_PATH), "--config", str(cfg), "--out", str(out)]) == 0
+    assert used == [0.5]
+    assert "c2=0.5\n" in (out / "config.txt").read_text(encoding="utf-8")
+
+
+def test_generate_names_the_config_file_of_a_non_finite_model_key(tmp_path, prepared_dir, trained_dir, capsys):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("intensity=nan\n", encoding="utf-8")
+    out = tmp_path / "gen"
+    assert main(["generate", "--data", str(prepared_dir), "--checkpoint", str(trained_dir / "model.emot"),
+                 "--lexicon", str(FIXTURE_LEXICON_PATH), "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "intensity must be a finite non-negative number, got nan" in err and str(cfg) in err
     assert not out.exists() or not any(out.iterdir())
 
 

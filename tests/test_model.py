@@ -468,10 +468,11 @@ def test_building_model_params_allocates_no_gradient_memory():
     assert weights <= held < 1.25 * weights  # a zero-filled gradient per parameter would double it
 
 
-def test_backward_leaves_gradients_on_parameters_only(tiny_vocab, lex):
+def test_backward_leaves_gradients_on_parameters_only(tiny_vocab, lex, op_calls):
     config = ModelConfig(n_tokens=20, n_users=2, n_items=2, max_len=14, embed_dim=8, ffn_dim=16)
     params = ModelParams(config, seed=7)
     batch, vnrc = make_batch(_mixed_batch(config, tiny_vocab, lex))
+    op_calls.clear()
     loss, _, _ = total_loss(batch, params, config, vnrc)
     nm.backward(loss)
     interior, stack, seen = [], [loss], set()
@@ -482,7 +483,7 @@ def test_backward_leaves_gradients_on_parameters_only(tiny_vocab, lex):
             stack.extend(node._parents)
             if node._backward_fn is not None:
                 interior.append(node)
-    assert len(interior) > 100
+    assert len(interior) == sum(op_calls.values())  # every op of the loss is on the graph the sweep walks
     assert all(node.grad is None for node in interior)
     for p in params.all():
         assert p.grad.any(), p.name

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from emoexplain import numerics as nm
 from emoexplain.numerics import Parameter, Tensor
 
+from . import oracles
+
 
 def test_matmul_identity():
     identity = Tensor(np.eye(3))
@@ -411,6 +413,93 @@ def test_sgd_update_is_bitwise_the_reference_formula(grad_scale, clip):
 
 
 # --- grad_check ----------------------------------------------------------------
+
+# --- folded ops against their unfused compositions (tests/oracles.py) -------------
+
+def _output_and_gradients(build, leaves, targets):
+    """``build()``'s output and each leaf's gradient of its summed cross-entropy against ``targets``."""
+    for leaf in leaves:
+        leaf.zero_grad()
+    out = build()
+    nm.backward(nm.tensor_sum(nm.cross_entropy(out, targets)))
+    return out.data.tobytes(), [leaf.grad.tobytes() for leaf in leaves]
+
+
+def _assert_same_bits(folded, unfused, leaves, rng):
+    targets = rng.integers(0, 6, size=folded().data.shape[:-1])
+    (got, got_grads), (want, want_grads) = (_output_and_gradients(f, leaves, targets) for f in (folded, unfused))
+    assert got == want
+    for leaf, g, w in zip(leaves, got_grads, want_grads, strict=True):
+        assert g == w, leaf.name
+
+
+# (a, weight, bias) shapes; each weight is (k, 6) or, transposed, (6, k).
+BIASED_MATMULS = [
+    ((5, 4), (4, 6), (6,)),
+    ((3, 5, 4), (4, 6), (6,)),
+    ((3, 5, 4), (4, 6), (5, 6)),  # a per-row bias, shared by the slices
+    ((16, 14, 64), (64, 6), (6,)),
+]
+
+
+@pytest.mark.parametrize("transpose_b", [False, True])
+@pytest.mark.parametrize("a_shape,w_shape,bias_shape", BIASED_MATMULS)
+def test_matmul_bias_is_bitwise_matmul_then_add(a_shape, w_shape, bias_shape, transpose_b):
+    rng = np.random.default_rng(sum(a_shape) + transpose_b)
+    a = Parameter(rng.normal(size=a_shape), "a")
+    w = Parameter(rng.normal(size=w_shape[::-1] if transpose_b else w_shape), "w")
+    bias = Parameter(rng.normal(size=bias_shape), "bias")
+    folded = lambda: nm.matmul(a, w, transpose_b, bias=bias)  # noqa: E731
+    _assert_same_bits(folded, lambda: oracles.biased_matmul_oracle(a, w, bias, transpose_b), [a, w, bias], rng)
+    # An input that needs no gradient, as the emotion inputs are, leaves the others' unchanged.
+    x = Tensor(a.data)
+    _assert_same_bits(lambda: nm.matmul(x, w, transpose_b, bias=bias),
+                      lambda: oracles.biased_matmul_oracle(x, w, bias, transpose_b), [w, bias], rng)
+    if a.data.size <= 60:
+        probe = _probe(rng, folded().data.shape)
+        assert nm.grad_check(lambda: probe(folded()), [a, w, bias], n_samples=80) < 1e-3
+
+
+def test_matmul_bias_shape_error_names_both_shapes():
+    with pytest.raises(ValueError, match=r"bias shape \(4,\) does not fit output \(2, 3\)"):
+        nm.matmul(Tensor(np.ones((2, 5))), Tensor(np.ones((5, 3))), bias=Tensor(np.ones(4)))
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (3, 5, 6), (16, 14, 6)])
+def test_layer_norm_residual_is_bitwise_add_then_layer_norm(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = Parameter(rng.normal(size=shape) * 2 + 1, "x")
+    residual = Parameter(rng.normal(size=shape), "residual")
+    gamma = Parameter(rng.normal(size=shape[-1]), "gamma")
+    beta = Parameter(rng.normal(size=shape[-1]), "beta")
+    leaves = [x, residual, gamma, beta]
+    folded = lambda: nm.layer_norm(x, gamma, beta, residual=residual)  # noqa: E731
+    _assert_same_bits(folded, lambda: oracles.residual_layer_norm_oracle(x, residual, gamma, beta), leaves, rng)
+    if x.data.size <= 90:
+        probe = _probe(rng, shape)
+        assert nm.grad_check(lambda: probe(folded()), leaves, n_samples=80) < 1e-3
+
+
+def test_layer_norm_is_bitwise_the_np_mean_formula():
+    rng = np.random.default_rng(23)
+    x = Parameter(rng.normal(size=(4, 7, 9)) * 3 + 1, "x")
+    gamma, beta = Parameter(rng.normal(size=9), "gamma"), Parameter(rng.normal(size=9), "beta")
+    g = rng.normal(size=x.data.shape)
+    out = nm.layer_norm(x, gamma, beta)
+    out._backward_fn(g)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-12)
+    xhat = centered * inv
+    dxhat = g * gamma.data
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    assert out.data.tobytes() == (xhat * gamma.data + beta.data).tobytes()
+    assert x.grad.tobytes() == dx.tobytes()
+
+
+def test_layer_norm_residual_shape_must_match():
+    with pytest.raises(ValueError, match="residual shape"):
+        nm.layer_norm(Tensor(np.ones((2, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)), residual=Tensor(np.ones(3)))
+
 
 def test_grad_check_quadratic():
     theta = Parameter(np.arange(1.0, 7.0).reshape(1, 6), "theta")

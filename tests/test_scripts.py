@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 
 import pytest
@@ -32,6 +33,43 @@ def test_debias_sweep_runs_one_setting_under_both_orders():
         assert order["wins"] + order["ties"] + order["losses"] == 1
     assert setting["max_order_gap"] >= 0.0
     assert sweep.select([setting, {**setting, "mask_emotion_tag": True, "worse_order_wins": 1}]) is setting
+
+
+def _result_line(stage3: float, setup: float = 0.5, correct: bool = True, failed: int = 0) -> str:
+    """A perfbench result line, as ``perfbench/run.py`` prints it last."""
+    metrics = {"setup_s": {"value": setup, "unit": "s"}, "stage3_per_s": {"value": stage3, "unit": "1/s"}}
+    return json.dumps({"correct": correct, "attempted": 12, "failed": failed, "metrics": metrics})
+
+
+def test_bench_pairs_alternates_sides_and_reports_every_run():
+    bench = _load_script("bench_pairs")
+    canned = {  # per side, one run's (exit code, stdout, stderr) per pair
+        "parent": [(0, f"report\n{_result_line(s3)}\n", "") for s3 in (100.0, 101.0, 99.0, 102.0)],
+        "change": [(0, f"report\n{_result_line(120.0, setup=0.4)}\n", ""),
+                   (1, f"report\n{_result_line(121.0, correct=False, failed=1)}\n", ""),
+                   (0, "", "Traceback\nValueError: boom\n"),
+                   (0, _result_line(95.0), "")],
+    }
+    calls = []
+
+    def run(side):
+        calls.append(side)
+        return bench.parse_run(*canned[side][sum(c == side for c in calls) - 1])
+
+    results = bench.run_pairs(run, 4, log=lambda *args, **kwargs: None)
+    assert calls == ["parent", "change", "change", "parent"] * 2
+    assert results[2]["change"].problem == "exit 0, no result line (Traceback | ValueError: boom)"
+    assert results[1]["change"].problem == "exit 1, correct=False, 1 of 12 operations failed"
+    lines, problems = bench.report(results, {"stage3_per_s": "higher", "setup_s": "lower"})
+    assert problems == 2
+    rows = {line.split()[0]: line for line in lines}
+    # The incorrect run still counts: the change wins pairs 1, 2 and loses pair 4; pair 3 has no change value.
+    assert rows["stage3_per_s"].split()[-2:] == ["2/3", "yes"]
+    assert "120 [" in rows["stage3_per_s"] and "100.5 [" in rows["stage3_per_s"]
+    assert rows["setup_s"].split()[-2:] == ["1/3", "no"]
+    assert "FAILED pair 2 change: exit 1, correct=False, 1 of 12 operations failed" in lines
+    assert "FAILED pair 3 change: exit 0, no result line (Traceback | ValueError: boom)" in lines
+    assert lines[-1] == "4 pairs, 2 of 8 runs failed or incorrect"
 
 
 @pytest.mark.parametrize("name", SCRIPTS)
