@@ -6,10 +6,12 @@ after the other; odd pairs run the parent first and even pairs the change,
 so a drift of the machine's speed does not favour one side.  Per end-to-end
 metric the script prints each side's median and quartiles over all runs, in
 how many pairs the change did better (the direction comes from the change's
-``BENCHMARK.json``), and whether the change's median is better than the
-parent's by more than the parent's interquartile range.  Every run is kept: a run that exits
-non-zero, prints no result line or reports a failed check is listed, and the
-script then exits 1.
+``BENCHMARK.json``), whether the change's median is better than the
+parent's by more than the parent's interquartile range, and whether it is
+worse than the parent's by more than the metric's ``bound`` there, a fraction
+of the parent's median.  A closing line lists every metric past its bound.
+Every run is kept: a run that exits non-zero, prints no result line or
+reports a failed check is listed, and the script then exits 1.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . --workload desk --pairs 10 --seconds 30
 """
@@ -80,14 +82,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def report(results: list[dict[str, Run]], better: dict[str, str]) -> tuple[list[str], int]:
+def report(results: list[dict[str, Run]], better: dict[str, str],
+           bounds: dict[str, float] | None = None) -> tuple[list[str], int]:
     """Report lines and the number of runs with a problem.
 
     ``better`` maps a metric to "higher" or "lower"; a metric missing from it counts no wins.
+    ``bounds`` maps a metric to the fraction of the parent's median by which the change's
+    median may be worse; a metric missing from it is not checked.
     """
+    bounds = bounds or {}
     names = list(dict.fromkeys(name for pair in results for run in pair.values() for name in run.metrics))
     lines = [f"{'metric':<16} {'unit':<6} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32}"
-             f" {'change wins':>12}  gain > parent IQR"]
+             f" {'past bound':>10} {'change wins':>12}  gain > parent IQR"]
+    past = []
     for name in names:
         unit = next(run.metrics[name][1] for pair in results for run in pair.values() if name in run.metrics)
         values = {side: [pair[side].metrics[name][0] for pair in results if name in pair[side].metrics]
@@ -108,13 +115,20 @@ def report(results: list[dict[str, Run]], better: dict[str, str]) -> tuple[list[
             q1, parent_median, q3 = quartiles(values["parent"])
             gain = sign * (quartiles(values["change"])[1] - parent_median)
             beyond = "yes" if gain > q3 - q1 else "no"
+            bound = "-"
+            if name in bounds:
+                worse = -gain > bounds[name] * abs(parent_median)
+                bound = "yes" if worse else "no"
+                if worse:
+                    past.append(name)
         else:
-            wins, beyond = "-", "-"
-        lines.append(f"{name:<16} {unit:<6} {cells[0]:>32} {cells[1]:>32} {wins:>12}  {beyond}")
+            wins, beyond, bound = "-", "-", "-"
+        lines.append(f"{name:<16} {unit:<6} {cells[0]:>32} {cells[1]:>32} {bound:>10} {wins:>12}  {beyond}")
     problems = [(i, side, pair[side].problem) for i, pair in enumerate(results, start=1)
                 for side in SIDES if pair[side].problem]
     for i, side, problem in problems:
         lines.append(f"FAILED pair {i} {side}: {problem}")
+    lines.append("past bound: " + (", ".join(past) or "none"))
     lines.append(f"{len(results)} pairs, {len(problems)} of {2 * len(results)} runs failed or incorrect")
     return lines, len(problems)
 
@@ -136,11 +150,12 @@ def main(argv=None) -> int:
             parser.error(f"--{side} {root}: no perfbench/run.py")
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
 
     results = run_pairs(lambda side: run_checkout(roots[side], args.workload, args.seed, args.seconds), args.pairs)
     print(f"# {args.workload} seed {args.seed}, {args.seconds:g} s runs; parent {roots['parent']}, "
           f"change {roots['change']}")
-    lines, problems = report(results, better)
+    lines, problems = report(results, better, bounds)
     print("\n".join(lines))
     return 1 if problems else 0
 

@@ -312,10 +312,12 @@ def _aligned_explanations(path: Path, references: tuple[Record, ...]) -> list[st
     if len(generated) != len(references):
         raise ValueError(f"{path}: {len(generated)} generated explanations vs {len(references)} test records")
     for row, rec in zip(generated, references):
-        if row.get("user") != rec.user or row.get("item") != rec.item:
+        # Read as records read theirs: a present value as its str(), so 5 aligns with "5".
+        ids = tuple(str(row[key]) if key in row else None for key in ("user", "item"))
+        if ids != (rec.user, rec.item):
             raise ValueError(
-                f"{path}: generated row for ({row.get('user')}, {row.get('item')}) "
-                f"does not align with test record ({rec.user}, {rec.item})")
+                f"{path}: generated row for ({row.get('user')!r}, {row.get('item')!r}) "
+                f"does not align with test record ({rec.user!r}, {rec.item!r})")
     return [row.get("explanation", "") for row in generated]
 
 

@@ -115,22 +115,28 @@ def word_emotion(lexicon: Lexicon, word: str) -> tuple[float, ...]:
 def classify_explanation(lexicon: Lexicon, tokens: list[str], threshold: float = 0.2) -> str:
     """Assign one of the six categories to a tokenized explanation.
 
-    Sums the five non-neutral components over all tokens, normalizes by token
-    count, and returns neutral when the best mean score is below ``threshold``
-    (strict), otherwise the argmax category (ties break toward the lower
-    category index).  An empty token list is neutral.
+    Sums the five non-neutral components token by token, left to right,
+    normalizes by token count, and returns neutral when the best mean score
+    is below ``threshold`` (strict), otherwise the argmax category (ties
+    break toward the lower category index).  An empty token list is neutral.
     """
     if not tokens:
         return CATEGORIES[NEUTRAL_INDEX]
-    sums = [0.0] * 5
+    happy = angry = surprise = sad = fear = 0.0
     for tok in tokens:
         vec = word_emotion(lexicon, tok)
-        for k in range(5):
-            sums[k] += vec[k]
+        happy += vec[0]
+        angry += vec[1]
+        surprise += vec[2]
+        sad += vec[3]
+        fear += vec[4]
     n = len(tokens)
-    means = [s / n for s in sums]
-    best = max(range(5), key=lambda k: (means[k], -k))
-    if means[best] < threshold:
+    best, top = 0, happy / n
+    for k, total in enumerate((angry, surprise, sad, fear), start=1):
+        mean = total / n
+        if mean > top:  # strict: the first maximum is kept
+            best, top = k, mean
+    if top < threshold:
         return CATEGORIES[NEUTRAL_INDEX]
     return CATEGORIES[best]
 

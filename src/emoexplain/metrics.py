@@ -11,7 +11,7 @@ Aggregation conventions (also stamped into report headers):
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import exp, log
 
 from .corpus import tokenize
@@ -30,6 +30,8 @@ class EvaluationPair:
     reference: tuple[str, ...]
     hypothesis: tuple[str, ...]
     features: tuple[str, ...]
+    # order -> overlap(order), so BLEU-1/4 and ROUGE-1/2 count each order once
+    _overlaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_texts(cls, reference: str, hypothesis: str, features) -> "EvaluationPair":
@@ -40,16 +42,22 @@ class EvaluationPair:
             features=feature_tokens,
         )
 
-
-def _clipped_overlap(pair: EvaluationPair, n: int) -> tuple[int, int, int]:
-    """(hypothesis n-grams the reference holds, each counted at most as often as there,
-    hypothesis n-grams, reference n-grams)."""
-    hyp, ref = pair.hypothesis, pair.reference
-    # Zipping the n shifted copies of a sequence yields its n-grams as tuples.
-    hyp_counts = Counter(zip(*(hyp[i:] for i in range(n))))
-    ref_counts = Counter(zip(*(ref[i:] for i in range(n))))
-    matched = sum(min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
-    return matched, max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0)
+    def overlap(self, n: int) -> tuple[int, int, int]:
+        """(hypothesis n-grams the reference holds, each counted at most as often as there,
+        hypothesis n-grams, reference n-grams)."""
+        counted = self._overlaps.get(n)
+        if counted is None:
+            hyp, ref = self.hypothesis, self.reference
+            # Zipping the n shifted copies of a sequence yields its n-grams as tuples.
+            unmatched = Counter(zip(*(ref[i:] for i in range(n))))
+            matched = 0
+            for gram in zip(*(hyp[i:] for i in range(n))):
+                left = unmatched.get(gram)
+                if left:
+                    unmatched[gram] = left - 1
+                    matched += 1
+            counted = self._overlaps[n] = (matched, max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0))
+        return counted
 
 
 def bleu(pairs: list[EvaluationPair], n: int) -> float:
@@ -68,7 +76,7 @@ def bleu(pairs: list[EvaluationPair], n: int) -> float:
         matched = 0
         total = 0
         for pair in pairs:
-            overlap, n_hyp, _ = _clipped_overlap(pair, order)
+            overlap, n_hyp, _ = pair.overlap(order)
             matched += overlap
             total += n_hyp
         if total == 0:
@@ -86,7 +94,7 @@ def rouge(pairs: list[EvaluationPair], n: int) -> tuple[float, float, float]:
         raise ValueError("rouge needs at least one pair")
     p_sum = r_sum = f_sum = 0.0
     for pair in pairs:
-        overlap, n_hyp, n_ref = _clipped_overlap(pair, n)
+        overlap, n_hyp, n_ref = pair.overlap(n)
         p = overlap / n_hyp if n_hyp else 0.0
         r = overlap / n_ref if n_ref else 0.0
         f = 2.0 * p * r / (p + r) if p + r else 0.0

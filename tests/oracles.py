@@ -6,18 +6,21 @@ agree by computing the same quantity.  ``generate_oracle`` is greedy decoding
 without a cache: every step runs ``model.forward`` over all max_len positions.
 ``biased_matmul_oracle`` and ``residual_layer_norm_oracle`` are the unfused
 compositions that ``matmul``'s ``bias`` and ``layer_norm``'s ``residual`` fold
-into one op each.
+into one op each.  ``clipped_overlap_oracle`` and ``classify_oracle`` are the
+earlier formulas that ``EvaluationPair.overlap`` and ``classify_explanation``
+must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from emoexplain import numerics as nm
 from emoexplain.corpus import BOS, EOS, PAD, EncodedExample, tokenize
-from emoexplain.lexicon import category_index
+from emoexplain.lexicon import CATEGORIES, NEUTRAL_INDEX, category_index, word_emotion
 from emoexplain.model import emotion_input_matrix, forward
 
 
@@ -165,3 +168,28 @@ def biased_matmul_oracle(a, w, bias, transpose_b=False):
 def residual_layer_norm_oracle(x, residual, gamma, beta):
     """``layer_norm(x, gamma, beta, residual=residual)`` as two ops: ``add``, then the norm."""
     return nm.layer_norm(nm.add(x, residual), gamma, beta)
+
+
+def clipped_overlap_oracle(hyp, ref, n):
+    """(clipped matches, hypothesis n-grams, reference n-grams) from one Counter per side."""
+    hyp_counts = Counter(zip(*(hyp[i:] for i in range(n))))
+    ref_counts = Counter(zip(*(ref[i:] for i in range(n))))
+    matched = sum(min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
+    return matched, max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0)
+
+
+def classify_oracle(lexicon, tokens, threshold=0.2):
+    """The category from five running sums kept in a list, argmax by (mean, -index)."""
+    if not tokens:
+        return CATEGORIES[NEUTRAL_INDEX]
+    sums = [0.0] * 5
+    for tok in tokens:
+        vec = word_emotion(lexicon, tok)
+        for k in range(5):
+            sums[k] += vec[k]
+    n = len(tokens)
+    means = [s / n for s in sums]
+    best = max(range(5), key=lambda k: (means[k], -k))
+    if means[best] < threshold:
+        return CATEGORIES[NEUTRAL_INDEX]
+    return CATEGORIES[best]

@@ -17,6 +17,7 @@ import json
 import shutil
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,42 @@ def test_malformed_test_line_exits_2_naming_path_and_line(pipeline, tmp_path, co
     code, err = _main(scoring_argv(pipeline, command, data, tmp_path / "out"))
     assert code == 2
     assert f"{data / 'test.jsonl'}: line 3: " in err
+
+
+def _renumbered(pipeline: Path, tmp_path: Path, bad_row: int | None = None) -> tuple[Path, Path, Path]:
+    """The pipeline's test split with ids "0", "100", "1", "101", ..., and its generated and
+    baseline files with the same ids as JSON numbers; ``bad_row``'s generated item is 999."""
+    data = shutil.copytree(pipeline / "data", tmp_path / "data")
+    save_records(data / "test.jsonl", [replace(rec, user=str(k), item=str(100 + k))
+                                       for k, rec in enumerate(load_records(data / "test.jsonl"))])
+    paths = []
+    for source in (pipeline / "generate" / "generated.jsonl", pipeline / "baseline.jsonl"):
+        rows = [json.loads(line) for line in source.read_text(encoding="utf-8").splitlines()]
+        for k, row in enumerate(rows):
+            row.update(user=k, item=999 if k == bad_row and source.name == "generated.jsonl" else 100 + k)
+        paths.append(tmp_path / source.name)
+        paths[-1].write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    return data, *paths
+
+
+@pytest.mark.parametrize("command", ["evaluate", "audit"])
+def test_generated_numeric_ids_align_as_records_read_them(pipeline, tmp_path, command):
+    data, generated, baseline = _renumbered(pipeline, tmp_path)
+    extra = ["--baseline", baseline] if command == "audit" else []
+    code, err = _main([command, "--data", data, "--generated", generated, "--lexicon", FIXTURE_LEXICON_PATH,
+                       "--out", tmp_path / "out", "--seed", "41", *extra])
+    assert code == 0, err
+    for name in GOLDEN[command]:
+        assert (tmp_path / "out" / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "audit"])
+def test_generated_id_mismatch_exits_2_naming_both_values(pipeline, tmp_path, command):
+    data, generated, _ = _renumbered(pipeline, tmp_path, bad_row=3)
+    code, err = _main([command, "--data", data, "--generated", generated, "--lexicon", FIXTURE_LEXICON_PATH,
+                       "--out", tmp_path / "out"])
+    assert code == 2
+    assert f"{generated}: generated row for (3, 999) does not align with test record ('3', '103')" in err
 
 
 def test_audit_with_baseline_classifies_each_explanation_once(pipeline, tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from emoexplain.lexicon import (
@@ -16,6 +16,7 @@ from emoexplain.lexicon import (
     word_emotion,
 )
 
+from . import oracles
 from .conftest import FIXTURE_LEXICON_PATH
 
 
@@ -123,6 +124,32 @@ def test_classify_normalizes_by_token_count(lex):
     # one lucky among many fillers dilutes the mean below 0.2
     tokens = ["lucky"] + ["zzz"] * 9
     assert classify_explanation(lex, tokens) == "neutral"
+
+
+# Few distinct scores, so categories often tie and means often land on a threshold.
+SCORES = st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+# Six components as load_lexicon stores them, so the neutral one is 0.
+VECTORS = st.tuples(*[SCORES] * 5).map(lambda v: (*v, 0.0))
+# a 1-ulp gap: the sums differ, and their means over three tokens are equal
+ULP_APART = (0.1958762886597938, 0.19587628865979384)
+
+
+@given(table=st.dictionaries(st.sampled_from(["joy", "grim", "tie", "flat"]), VECTORS),
+       tokens=st.lists(st.sampled_from(["joy", "JOY", "Grim", "tie", "flat", "zzz", "The"]), max_size=10),
+       threshold=st.sampled_from([0.0, 0.1, 0.2, 0.25]) | st.floats(0.0, 1.0))
+@example(table={"tie": (0.5, 0.5, 0.0, 0.0, 0.0, 0.0)}, tokens=["tie"], threshold=0.2)
+@example(table={"tie": (0.0, 0.0, 0.3, 0.3, 0.3, 0.0)}, tokens=["TIE", "zzz"], threshold=0.15)
+@example(table={"flat": (0.25, 0.0, 0.0, 0.0, 0.0, 0.0)}, tokens=["flat"], threshold=0.25)
+@example(table={"joy": (0.2, 0.0, 0.0, 0.0, 0.0, 0.0)}, tokens=["joy", "JOY"], threshold=0.2)
+def test_classify_equals_the_five_way_loop(table, tokens, threshold):
+    lex = Lexicon(table)
+    assert classify_explanation(lex, tokens, threshold) == oracles.classify_oracle(lex, tokens, threshold)
+
+
+def test_classify_ties_on_means_not_on_sums():
+    lex = Lexicon({"tie": (*ULP_APART, 0.0, 0.0, 0.0, 0.0)})
+    assert ULP_APART[0] < ULP_APART[1] and ULP_APART[0] / 3 == ULP_APART[1] / 3
+    assert classify_explanation(lex, ["tie", "zzz", "zzz"], threshold=0.05) == "happy"
 
 
 @given(st.permutations(["lucky", "grim", "zzz", "the", "delightful", "rude"]))

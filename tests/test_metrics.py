@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emoexplain.lexicon import CATEGORIES, Lexicon
@@ -50,6 +50,50 @@ def _random_pairs(rng, n_pairs, max_len=6):
 
 def _as_oracle(pairs):
     return [(list(p.reference), list(p.hypothesis), list(p.features)) for p in pairs]
+
+
+# --- per-pair overlap ------------------------------------------------------
+
+# Three words, so that short texts repeat their n-grams.
+FEW_WORDS = st.lists(st.sampled_from(["a", "b", "c"]), max_size=8).map(tuple)
+
+
+@given(hyp=FEW_WORDS, ref=FEW_WORDS, n=st.integers(1, 6))
+@example(hyp=(), ref=("a", "b"), n=1)
+@example(hyp=("a", "b"), ref=("a", "b", "a"), n=4)
+@example(hyp=("a", "a", "a", "a"), ref=("a", "a", "b", "a", "a"), n=2)
+def test_overlap_equals_the_three_counter_formula(hyp, ref, n):
+    pair = EvaluationPair(reference=ref, hypothesis=hyp, features=())
+    want = oracles.clipped_overlap_oracle(hyp, ref, n)
+    assert pair.overlap(n) == want
+    assert pair.overlap(n) == want  # the memo returns what was counted
+
+
+def test_counted_overlaps_are_invisible_from_outside():
+    counted = _pair("the cat sat on the mat", "the cat sat on a mat")
+    for n in range(1, 5):
+        counted.overlap(n)
+    fresh = _pair("the cat sat on the mat", "the cat sat on a mat")
+    assert counted == fresh
+    assert hash(counted) == hash(fresh)
+    assert repr(counted) == repr(fresh)
+    assert {fresh: "found"}[counted] == "found"
+    with pytest.raises(TypeError):
+        EvaluationPair(reference=(), hypothesis=(), features=(), _overlaps={})
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30)
+def test_report_scores_equal_standalone_calls_on_fresh_pairs(seed):
+    rng = np.random.default_rng(seed)
+    pairs = _random_pairs(rng, int(rng.integers(1, 8)))
+    report = build_report(pairs)
+
+    def fresh():
+        return [EvaluationPair(p.reference, p.hypothesis, p.features) for p in pairs]
+
+    assert [report.bleu1, report.bleu4] == [bleu(fresh(), 1), bleu(fresh(), 4)]
+    assert [report.rouge1, report.rouge2] == [rouge(fresh(), 1), rouge(fresh(), 2)]
 
 
 # --- bleu -----------------------------------------------------------------

@@ -72,6 +72,26 @@ def test_bench_pairs_alternates_sides_and_reports_every_run():
     assert lines[-1] == "4 pairs, 2 of 8 runs failed or incorrect"
 
 
+def test_bench_pairs_marks_metrics_worse_than_their_bound():
+    bench = _load_script("bench_pairs")
+    # stage3_per_s: change median 74 against 100, 26% worse; setup_s: 0.6 against 0.5, 20% worse.
+    parent = [(0, _result_line(s3), "") for s3 in (99.0, 100.0, 101.0)]
+    change = [(0, _result_line(s3, setup=0.6), "") for s3 in (73.0, 74.0, 75.0)]
+    results = [{"parent": bench.parse_run(*p), "change": bench.parse_run(*c)} for p, c in zip(parent, change)]
+    better = {"stage3_per_s": "higher", "setup_s": "lower"}
+    lines, problems = bench.report(results, better, {"stage3_per_s": 0.25, "setup_s": 0.25})
+    assert problems == 0
+    rows = {line.split()[0]: line for line in lines}
+    assert "past bound change wins" in " ".join(rows["metric"].split())
+    assert rows["stage3_per_s"].split()[-3:] == ["yes", "0/3", "no"]
+    assert rows["setup_s"].split()[-3:] == ["no", "0/3", "no"]
+    assert lines[-2:] == ["past bound: stage3_per_s", "3 pairs, 0 of 6 runs failed or incorrect"]
+    lines, _ = bench.report(results, better, {"stage3_per_s": 0.3, "setup_s": 0.1})
+    assert lines[-2] == "past bound: setup_s"
+    lines, _ = bench.report(results, better)
+    assert lines[-2] == "past bound: none"
+
+
 @pytest.mark.parametrize("name", SCRIPTS)
 def test_every_script_imports(name):
     _load_script(name)
