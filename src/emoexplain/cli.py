@@ -23,6 +23,7 @@ import numpy as np
 
 from . import numerics as nm
 from .corpus import (
+    MAX_VOCAB_TOKENS,
     SPECIAL_TOKENS,
     DatasetSplit,
     Record,
@@ -73,8 +74,8 @@ MODEL_KEYS = tuple(_settable(ModelConfig))
 TRAIN_KEYS = tuple(_settable(TrainConfig))
 
 BASE_DEFAULTS = {
-    "profile": "desk", "max_tokens": 20, "vocab_cap": 20000, "splits": 1, "grad_samples": 200,
-    **_settable(ModelConfig), **_settable(TrainConfig),
+    "profile": "desk", "splits": 1, "grad_samples": 200, "max_tokens": GenerationQuery.max_tokens,
+    "vocab_cap": MAX_VOCAB_TOKENS, **_settable(ModelConfig), **_settable(TrainConfig),
 }
 
 KEY_TYPES = {
@@ -634,22 +635,18 @@ def build_parser() -> argparse.ArgumentParser:
     prepare.set_defaults(func=cmd_prepare)
 
     train_cmd = subs.add_parser("train", help="train on a prepared data directory")
-    train_cmd.add_argument("--data", help="directory produced by prepare")
     train_cmd.set_defaults(func=cmd_train)
 
     generate = subs.add_parser("generate", help="greedy-generate explanations for the test split")
-    generate.add_argument("--data", help="directory produced by prepare")
     generate.add_argument("--checkpoint", help="trained checkpoint (model.emot)")
     generate.add_argument("--emotion", choices=CATEGORIES, help="override the requested emotion tag")
     generate.set_defaults(func=cmd_generate)
 
     evaluate = subs.add_parser("evaluate", help="score generated explanations against the test split")
-    evaluate.add_argument("--data", help="directory produced by prepare")
     evaluate.add_argument("--generated", help="generated.jsonl to score")
     evaluate.set_defaults(func=cmd_evaluate)
 
     audit = subs.add_parser("audit", help="compare emotion distributions of generated vs ground truth")
-    audit.add_argument("--data", help="directory produced by prepare")
     audit.add_argument("--generated", help="generated.jsonl to audit")
     audit.add_argument("--baseline", help="baseline generated.jsonl for the debiasing column")
     audit.add_argument("--reference-check", action="store_true",
@@ -657,7 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.set_defaults(func=cmd_audit)
 
     ablate = subs.add_parser("ablate", help="run the 3x3 loss-setting x intensity ablation grid")
-    ablate.add_argument("--data", help="directory produced by prepare")
     ablate.set_defaults(func=cmd_ablate)
 
     gradcheck = subs.add_parser("gradcheck", help="finite-difference check of the full loss gradient")
@@ -666,6 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sub in (prepare, train_cmd, generate, evaluate, audit, ablate, gradcheck):
         _add_common(sub)
+        if sub not in (prepare, gradcheck):
+            sub.add_argument("--data", help="directory produced by prepare")
     return parser
 
 

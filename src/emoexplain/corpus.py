@@ -62,28 +62,28 @@ class DatasetSplit:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Dense token/user/item id tables, each without repeats. Ids 0..9 are the special tokens, in order."""
+    """Dense token/user/item id tables, each without repeats. Ids 0..9 are the special tokens, in order.
+
+    The name-to-id maps are derived from the tables, so ``dataclasses.replace`` rebuilds them.
+    """
 
     id_to_token: tuple[str, ...]
     id_to_user: tuple[str, ...]
     id_to_item: tuple[str, ...]
-    token_to_id: dict[str, int] = field(repr=False, default_factory=dict)
-    user_to_id: dict[str, int] = field(repr=False, default_factory=dict)
-    item_to_id: dict[str, int] = field(repr=False, default_factory=dict)
+    token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    user_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    item_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.token_to_id:
-            object.__setattr__(self, "token_to_id", {t: i for i, t in enumerate(self.id_to_token)})
-            object.__setattr__(self, "user_to_id", {u: i for i, u in enumerate(self.id_to_user)})
-            object.__setattr__(self, "item_to_id", {it: i for i, it in enumerate(self.id_to_item)})
         if self.id_to_token[:len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
             raise ValueError(f"the token table must start with the special tokens {' '.join(SPECIAL_TOKENS)}")
-        tables = (("token", self.id_to_token, self.token_to_id), ("user", self.id_to_user, self.user_to_id),
-                  ("item", self.id_to_item, self.item_to_id))
-        for kind, table, ids in tables:
+        for kind in ("token", "user", "item"):
+            table = getattr(self, f"id_to_{kind}")
+            ids = {name: i for i, name in enumerate(table)}
             if len(ids) != len(table):
                 repeated = next(name for name, count in Counter(table).items() if count > 1)
                 raise ValueError(f"{kind} {repeated!r} is listed more than once")
+            object.__setattr__(self, f"{kind}_to_id", ids)
 
     @property
     def n_tokens(self) -> int:
@@ -179,11 +179,11 @@ def save_records(path: str | Path, records: list[Record]) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def assign_emotion_tags(records: list[Record], lex: Lexicon, threshold: float = 0.2) -> list[Record]:
-    """Fill missing emotion tags via the lexicon classifier; existing tags are kept."""
+def assign_emotion_tags(records: list[Record], lex: Lexicon) -> list[Record]:
+    """Fill missing emotion tags via the lexicon classifier at its default threshold; existing tags are kept."""
     return [
         rec if rec.emotion is not None
-        else replace(rec, emotion=classify_explanation(lex, tokenize(rec.explanation), threshold))
+        else replace(rec, emotion=classify_explanation(lex, tokenize(rec.explanation)))
         for rec in records
     ]
 
@@ -210,10 +210,7 @@ def split_dataset(records: list[Record], seed: int) -> DatasetSplit:
         by_item.setdefault(rec.item, []).append(idx)
 
     forced: set[int] = set()
-    for user, idxs in by_user.items():
-        if not forced.intersection(idxs):
-            forced.add(int(rng.choice(idxs)))
-    for item, idxs in by_item.items():
+    for idxs in (*by_user.values(), *by_item.values()):  # users first: the RNG draws keep their order
         if not forced.intersection(idxs):
             forced.add(int(rng.choice(idxs)))
     if len(forced) > n_train:

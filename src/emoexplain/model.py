@@ -15,13 +15,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import numerics as nm
-from .corpus import PAD, UNK, EncodedExample, Vocabulary
-from .lexicon import Lexicon, NEUTRAL_VECTOR, word_emotion
+from .corpus import DEFAULT_MAX_LEN, PAD, SPECIAL_TOKENS, UNK, EncodedExample, Vocabulary
+from .lexicon import CATEGORIES, Lexicon, NEUTRAL_VECTOR, word_emotion
 from .numerics import Parameter, Tensor
 
 EMOTION_MLP_HIDDEN = 64
-N_EMOTIONS = 6
-N_SPECIAL = 10
+N_EMOTIONS = len(CATEGORIES)
+N_SPECIAL = len(SPECIAL_TOKENS)
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class ModelConfig:
     n_tokens: int
     n_users: int
     n_items: int
-    max_len: int = 32
+    max_len: int = DEFAULT_MAX_LEN
     embed_dim: int = 512
     ffn_dim: int = 2048
     encoder_layers: int = 2
@@ -83,9 +83,6 @@ class LayerParams:
     ln2_gamma: Parameter
     ln2_beta: Parameter
 
-    def all(self) -> list[Parameter]:
-        return [getattr(self, f.name) for f in fields(self)]
-
 
 def _uniform(rng, shape):
     return rng.uniform(-0.1, 0.1, size=shape)
@@ -127,21 +124,25 @@ class ModelParams:
 
     Without ``state`` the weights are drawn from ``seed``.  With ``state`` (a
     loaded checkpoint) each parameter wraps that checkpoint's array itself:
-    nothing is drawn or copied.
+    nothing is drawn or copied, and a parameter the model does not take is an
+    error.  The order in which ``__init__`` creates the parameters is the RNG
+    draw order, ``all()``'s order and the checkpoint order.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, state: dict[str, np.ndarray] | None = None):
         d = config.embed_dim
         rng = np.random.default_rng(seed)
+        self._all: list[Parameter] = []
 
         def param(name, shape, init):
             if state is None:
-                return Parameter(init(rng, shape), name)
-            if name not in state:
+                data = init(rng, shape)
+            elif name not in state:
                 raise ValueError(f"checkpoint is missing parameter {name!r}")
-            if state[name].shape != shape:
-                raise ValueError(f"checkpoint shape {state[name].shape} for {name!r} does not match {shape}")
-            return Parameter(state[name], name)
+            elif (data := state[name]).shape != shape:
+                raise ValueError(f"checkpoint shape {data.shape} for {name!r} does not match {shape}")
+            self._all.append(Parameter(data, name))
+            return self._all[-1]
 
         self.token_embedding = param("token_embedding", (config.n_tokens, d), _uniform)
         self.user_embedding = param("user_embedding", (config.n_users, d), _uniform)
@@ -158,17 +159,14 @@ class ModelParams:
         self.decoder = [
             _layer(param, f"decoder.{i}", d, config.ffn_dim) for i in range(config.decoder_layers)]
         self.emotion_head_weight = param("emotion_head", (d, N_EMOTIONS), _glorot)
+        if state is not None and len(state) > len(self._all):
+            taken = {p.name for p in self._all}
+            extra = next(name for name in state if name not in taken)
+            raise ValueError(f"checkpoint has parameter {extra!r}, which the model does not take")
 
     def all(self) -> list[Parameter]:
-        out = [
-            self.token_embedding, self.user_embedding, self.item_embedding, self.positional,
-            self.emo_w1, self.emo_b1, self.emo_w2, self.emo_b2,
-        ]
-        for block in (self.emotion_encoder, self.context_encoder, self.decoder):
-            for layer in block:
-                out.extend(layer.all())
-        out.append(self.emotion_head_weight)
-        return out
+        """Every parameter, in creation order."""
+        return list(self._all)
 
     def snapshot(self, into: list[np.ndarray] | None = None) -> list[np.ndarray]:
         """Copies of every parameter's values, written over the arrays of ``into`` when given."""
@@ -295,22 +293,15 @@ def emotion_input_matrix(
     one-hot of the target category (neutral when masked); word positions carry
     their lexicon vector, so <unk> falls back to neutral.
     """
-    rows = [NEUTRAL_VECTOR, NEUTRAL_VECTOR]
-    for pos, token_id in enumerate(example.context_ids[2:], start=2):
-        if pos == example.tag_position:
-            if mask_emotion_tag:
-                rows.append(NEUTRAL_VECTOR)
-            else:
-                one_hot = [0.0] * N_EMOTIONS
-                one_hot[example.emotion_target] = 1.0
-                rows.append(tuple(one_hot))
-        else:
-            rows.append(token_emotion(token_id, vocab, lex))
-    return np.array(rows, dtype=np.float64)
+    rows = np.array([NEUTRAL_VECTOR, NEUTRAL_VECTOR, *(token_emotion(t, vocab, lex) for t in example.context_ids[2:])],
+                    dtype=np.float64)
+    if not mask_emotion_tag:  # the tag is a special token, so its row is neutral until set here
+        rows[example.tag_position] = np.eye(N_EMOTIONS)[example.emotion_target]
+    return rows
 
 
 def token_emotion(token_id: int, vocab: Vocabulary, lex: Lexicon) -> tuple[float, ...]:
-    """Emotion-encoder input at a token position past the tag: special tokens are neutral."""
+    """Emotion-encoder input at a token-table position: special tokens, the tag among them, are neutral."""
     return NEUTRAL_VECTOR if token_id < N_SPECIAL else word_emotion(lex, vocab.id_to_token[token_id])
 
 

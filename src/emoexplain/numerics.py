@@ -51,13 +51,6 @@ class Tensor:
         self._backward_fn = None
         self._swept = False
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)

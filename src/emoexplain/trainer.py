@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -57,20 +57,9 @@ class TrainHistory:
 
     def to_dict(self) -> dict:
         return {
-            "initial_train": {
-                "lm": self.initial_train[0],
-                "emo": self.initial_train[1],
-                "total": self.initial_train[2],
-            },
+            "initial_train": dict(zip(("lm", "emo", "total"), self.initial_train, strict=True)),
             "best_epoch": self.best_epoch,
-            "epochs": [
-                {
-                    "train_lm": e.train_lm, "train_emo": e.train_emo, "train_total": e.train_total,
-                    "valid_lm": e.valid_lm, "valid_emo": e.valid_emo, "valid_total": e.valid_total,
-                    "grad_norm_mean": e.grad_norm_mean, "clip_rate": e.clip_rate,
-                }
-                for e in self.epochs
-            ],
+            "epochs": [asdict(e) for e in self.epochs],
         }
 
 
@@ -175,7 +164,7 @@ ABLATION_INTENSITIES = (0.5, 1.0, 2.0)
 
 def ablation_grid(
     model_config: ModelConfig, train_config: TrainConfig, splits: DatasetSplit,
-    lex: Lexicon, vocab: Vocabulary, max_tokens: int = 20,
+    lex: Lexicon, vocab: Vocabulary, max_tokens: int,
 ) -> list[dict]:
     """Train and evaluate the 3x3 grid of loss settings x intensity values.
 

@@ -6,9 +6,9 @@ agree by computing the same quantity.  ``generate_oracle`` is greedy decoding
 without a cache: every step runs ``model.forward`` over all max_len positions.
 ``biased_matmul_oracle`` and ``residual_layer_norm_oracle`` are the unfused
 compositions that ``matmul``'s ``bias`` and ``layer_norm``'s ``residual`` fold
-into one op each.  ``clipped_overlap_oracle`` and ``classify_oracle`` are the
-earlier formulas that ``EvaluationPair.overlap`` and ``classify_explanation``
-must reproduce bit for bit.
+into one op each.  ``clipped_overlap_oracle``, ``classify_oracle`` and
+``emotion_input_oracle`` are the earlier formulas that ``EvaluationPair.overlap``,
+``classify_explanation`` and ``emotion_input_matrix`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 
 from emoexplain import numerics as nm
 from emoexplain.corpus import BOS, EOS, PAD, EncodedExample, tokenize
-from emoexplain.lexicon import CATEGORIES, NEUTRAL_INDEX, category_index, word_emotion
-from emoexplain.model import emotion_input_matrix, forward
+from emoexplain.lexicon import CATEGORIES, NEUTRAL_INDEX, NEUTRAL_VECTOR, category_index, word_emotion
+from emoexplain.model import emotion_input_matrix, forward, token_emotion
 
 
 def ngram_list(tokens, n):
@@ -193,3 +193,19 @@ def classify_oracle(lexicon, tokens, threshold=0.2):
     if means[best] < threshold:
         return CATEGORIES[NEUTRAL_INDEX]
     return CATEGORIES[best]
+
+
+def emotion_input_oracle(example, vocab, lex, mask_emotion_tag=False):
+    """Emotion-encoder inputs built position by position, testing each position against the tag's."""
+    rows = [NEUTRAL_VECTOR, NEUTRAL_VECTOR]
+    for pos, token_id in enumerate(example.context_ids[2:], start=2):
+        if pos == example.tag_position:
+            if mask_emotion_tag:
+                rows.append(NEUTRAL_VECTOR)
+            else:
+                one_hot = [0.0] * len(CATEGORIES)
+                one_hot[example.emotion_target] = 1.0
+                rows.append(tuple(one_hot))
+        else:
+            rows.append(token_emotion(token_id, vocab, lex))
+    return np.array(rows, dtype=np.float64)

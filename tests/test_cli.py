@@ -387,6 +387,19 @@ def test_generate_names_the_config_file_of_a_non_finite_model_key(tmp_path, prep
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_generate_refuses_a_checkpoint_with_more_layers_than_its_config(tmp_path, prepared_dir, trained_dir, capsys):
+    assert "encoder_layers=2\n" in (trained_dir / "config.txt").read_text(encoding="utf-8")
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("encoder_layers=1\ndecoder_layers=1\n", encoding="utf-8")
+    out = tmp_path / "gen"
+    assert main(["generate", "--data", str(prepared_dir), "--checkpoint", str(trained_dir / "model.emot"),
+                 "--lexicon", str(FIXTURE_LEXICON_PATH), "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint has parameter 'emotion_encoder.1.attn.wq'" in err
+    assert str(trained_dir / "model.emot") in err and str(cfg) in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_generate_refuses_a_non_finite_float_in_the_checkpoint_config(tmp_path, prepared_dir, trained_dir, capsys):
     checkpoint = _checkpoint_copy(trained_dir, tmp_path / "ckpt")
     config_path = tmp_path / "ckpt" / "config.txt"

@@ -9,8 +9,9 @@ import pytest
 
 from emoexplain import cli
 from emoexplain.cli import main
-from emoexplain.corpus import generate_synthetic_corpus, save_records
+from emoexplain.corpus import MAX_VOCAB_TOKENS, generate_synthetic_corpus, save_records
 from emoexplain.fixtures import pool_corpus_spec
+from emoexplain.generator import GenerationQuery
 from emoexplain.model import ModelConfig
 from emoexplain.trainer import TrainConfig
 
@@ -91,6 +92,8 @@ def test_config_keys_carry_their_dataclass_types_and_defaults():
     assert cli.MODEL_KEYS == ("max_len", "embed_dim", "ffn_dim", "encoder_layers", "decoder_layers",
                               "attention_heads", "intensity", "c1", "c2", "mask_emotion_tag")
     assert set(cli.TRAIN_KEYS) == set(TrainConfig.__dataclass_fields__)
+    assert cli.BASE_DEFAULTS["max_tokens"] == GenerationQuery.__dataclass_fields__["max_tokens"].default == 20
+    assert cli.BASE_DEFAULTS["vocab_cap"] == MAX_VOCAB_TOKENS == 20000
 
 
 def test_int_keys_are_sizes_except_the_counts():

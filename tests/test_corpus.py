@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -259,6 +260,16 @@ def test_vocabulary_bijection(small_records):
 def test_vocabulary_rejects_missing_specials_and_repeats(tables, message):
     with pytest.raises(ValueError, match=message):
         Vocabulary(*tables)
+
+
+def test_replaced_vocabulary_rebuilds_its_maps(tiny_vocab):
+    vocab = replace(tiny_vocab, id_to_token=tiny_vocab.id_to_token[:12], id_to_user=("u009",),
+                    id_to_item=("i", "j"))
+    assert vocab.token_to_id == {token: i for i, token in enumerate(tiny_vocab.id_to_token[:12])}
+    assert (vocab.user_to_id, vocab.item_to_id) == ({"u009": 0}, {"i": 0, "j": 1})
+    assert replace(vocab, id_to_item=("j", "i")).item_to_id == {"j": 0, "i": 1}  # same length, new ids
+    with pytest.raises(ValueError, match="item 'i' is listed more than once"):
+        replace(vocab, id_to_item=("i", "j", "i"))
 
 
 # --- encoding ----------------------------------------------------------------

@@ -7,8 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from emoexplain import model
 from emoexplain import numerics as nm
-from emoexplain.corpus import Record, encode_example
+from emoexplain.corpus import Record, build_vocabulary, encode_example
+from emoexplain.generator import GenerationQuery, _prefix_example
 from emoexplain.lexicon import NEUTRAL_VECTOR
 from emoexplain.model import (
     Batch,
@@ -27,6 +29,8 @@ from emoexplain.model import (
     total_loss,
 )
 from emoexplain.numerics import Tensor
+
+from .oracles import emotion_input_oracle
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -63,6 +67,32 @@ def test_config_rejects_nonpositive_sizes(field, value):
 def test_config_rejects_indivisible_heads():
     with pytest.raises(ValueError, match="not divisible"):
         ModelConfig(n_tokens=20, n_users=2, n_items=2, embed_dim=10, attention_heads=4)
+
+
+def test_parameters_come_in_creation_order(tiny_config):
+    layer = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "attn.bo", "ln1.gamma", "ln1.beta",
+             "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln2.gamma", "ln2.beta")
+    stacks = (("emotion_encoder", 2), ("context_encoder", 2), ("decoder", 3))
+    params = ModelParams(replace(tiny_config, decoder_layers=3), seed=0)
+    assert [p.name for p in params.all()] == [
+        "token_embedding", "user_embedding", "item_embedding", "positional",
+        "emotion_mlp.w1", "emotion_mlp.b1", "emotion_mlp.w2", "emotion_mlp.b2",
+        *(f"{stack}.{i}.{name}" for stack, depth in stacks for i in range(depth) for name in layer),
+        "emotion_head",
+    ]
+    assert params.all()[0] is params.token_embedding and params.all()[-1] is params.emotion_head_weight
+    assert params.all()[-2] is params.decoder[2].ln2_beta
+    params.all().clear()  # a copy: the model keeps its list
+    assert len(params.all()) == 8 + 13 * 7 + 1
+
+
+def test_checkpoint_parameters_the_model_does_not_take_are_refused(tiny_config):
+    deeper = ModelParams(replace(tiny_config, encoder_layers=3, decoder_layers=3), seed=0)
+    state = {p.name: p.data for p in deeper.all()}
+    with pytest.raises(ValueError, match=r"checkpoint has parameter 'emotion_encoder\.2\.attn\.wq', which the model"):
+        ModelParams(tiny_config, state=state)
+    loaded = ModelParams(replace(tiny_config, encoder_layers=3, decoder_layers=3), state=state)
+    assert all(p.data is state[p.name] for p in loaded.all()) and len(loaded.all()) == len(state)
 
 
 def test_emotion_embed_zero_weights_give_zero_output(tiny_config):
@@ -106,6 +136,31 @@ def test_emotion_input_matrix_mask_flag(tiny_setup, tiny_vocab, lex):
     _, example, _ = tiny_setup
     masked = emotion_input_matrix(example, tiny_vocab, lex, mask_emotion_tag=True)
     assert tuple(masked[3]) == NEUTRAL_VECTOR
+
+
+@pytest.mark.parametrize("mask_emotion_tag", [False, True])
+def test_emotion_input_matrix_equals_the_per_position_oracle(small_records, lex, monkeypatch, mask_emotion_tag):
+    vocab = build_vocabulary(small_records[:8])  # later records bring words outside the vocabulary
+    config = ModelConfig(n_tokens=vocab.n_tokens, n_users=len(vocab.id_to_user), n_items=len(vocab.id_to_item),
+                         max_len=12)
+    examples = [encode_example(rec, vocab, config.max_len) for rec in small_records
+                if rec.user in vocab.user_to_id and rec.item in vocab.item_to_id]
+    examples += [_prefix_example(config, vocab, GenerationQuery(rec.user, rec.item, rec.features, emotion))
+                 for rec, emotion in zip(small_records[:8], ("sad", "happy", "fear", "neutral") * 2)]
+    lookups, real = [], model.word_emotion
+
+    def counted(lexicon, word):
+        lookups.append(word)
+        return real(lexicon, word)
+
+    monkeypatch.setattr(model, "word_emotion", counted)
+    for example in examples:
+        got = emotion_input_matrix(example, vocab, lex, mask_emotion_tag)
+        seen = len(lookups)
+        want = emotion_input_oracle(example, vocab, lex, mask_emotion_tag)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert lookups[:seen] == lookups[seen:]  # the same lexicon lookups, in the same order
+        del lookups[:]
 
 
 def test_mask_emotion_tag_hides_tag_from_both_encoders(tiny_config, tiny_vocab, lex):
@@ -220,7 +275,7 @@ def test_emotion_head_zero_matrix_gives_uniform(tiny_setup, tiny_config):
     loss = emotion_head(state, example)
     probs = _softmax(state.emotion_logits.data)
     assert np.allclose(probs, 1 / 6, atol=1e-12)
-    assert math.isclose(loss.item(), math.log(6), rel_tol=1e-12)
+    assert math.isclose(float(loss.data), math.log(6), rel_tol=1e-12)
 
 
 def test_emotion_head_softmax_sums_to_one(tiny_setup, tiny_config):
@@ -252,7 +307,7 @@ def test_emotion_head_loss_decreases_on_separable_batch(tiny_vocab, lex):
         value = 0.0
         for ex, vnrc in batch:
             _, _, emo = total_loss(ex, params, config, vnrc)
-            value += emo.item()
+            value += float(emo.data)
             total = emo if total is None else nm.add(total, emo)
         losses.append(value / len(batch))
         nm.backward(nm.scalar_mul(total, 1.0 / len(batch)))
@@ -265,7 +320,7 @@ def test_lm_head_zero_weights_give_log_vocab(tiny_setup, tiny_config):
     params, example, vnrc = tiny_setup
     params.token_embedding.data[...] = 0.0
     loss = lm_head(forward(example, params, tiny_config, vnrc), example)
-    assert math.isclose(loss.item(), math.log(tiny_config.n_tokens), rel_tol=1e-12)
+    assert math.isclose(float(loss.data), math.log(tiny_config.n_tokens), rel_tol=1e-12)
 
 
 def test_lm_head_supervises_bos_through_eos(tiny_setup, tiny_config):
@@ -278,13 +333,13 @@ def test_lm_head_supervises_bos_through_eos(tiny_setup, tiny_config):
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     expected = -log_probs[np.arange(len(targets)), targets].mean()
-    assert abs(lm_head(state, example).item() - expected) <= 1e-12
+    assert abs(float(lm_head(state, example).data) - expected) <= 1e-12
 
 
 def test_lm_head_perplexity_at_least_one(tiny_setup, tiny_config):
     params, example, vnrc = tiny_setup
     loss = lm_head(forward(example, params, tiny_config, vnrc), example)
-    assert math.exp(loss.item()) >= 1.0
+    assert math.exp(float(loss.data)) >= 1.0
 
 
 def test_lm_head_memorizes_single_record(tiny_vocab, lex):
@@ -313,9 +368,9 @@ def test_total_loss_weighting(tiny_setup, tiny_config):
     t1, lm1, _ = total_loss(example, params, lm_only, vnrc)
     t2, _, emo2 = total_loss(example, params, emo_only, vnrc)
     t3, lm3, emo3 = total_loss(example, params, both, vnrc)
-    assert t1.item() == lm1.item()
-    assert t2.item() == emo2.item()
-    assert abs(t3.item() - (lm3.item() + emo3.item())) < 1e-12
+    assert float(t1.data) == float(lm1.data)
+    assert float(t2.data) == float(emo2.data)
+    assert abs(float(t3.data) - (float(lm3.data) + float(emo3.data))) < 1e-12
 
 
 def test_forward_bitwise_reproducible(tiny_setup, tiny_config):
@@ -395,7 +450,7 @@ def test_batched_loss_and_gradients_equal_mean_over_examples(tiny_vocab, lex, ov
     for ex, vnrc in prepared:
         loss, lm, emo = total_loss(ex, params, config, vnrc)
         nm.backward(loss)
-        losses.append((loss.item(), lm.item(), emo.item()))
+        losses.append((float(loss.data), float(lm.data), float(emo.data)))
         for acc, p in zip(mean_grads, params.all()):
             acc += p.grad / len(prepared)
             p.zero_grad()
@@ -405,7 +460,7 @@ def test_batched_loss_and_gradients_equal_mean_over_examples(tiny_vocab, lex, ov
     assert batch.context_ids.shape == vnrc.shape[:2] == (4, 11)  # the cut is active
     loss, lm, emo = total_loss(batch, params, config, vnrc)
     nm.backward(loss)
-    assert _within(loss.item(), losses[:, 0].mean())
+    assert _within(float(loss.data), losses[:, 0].mean())
     assert _within(lm.data, losses[:, 1])
     assert _within(emo.data, losses[:, 2])
     for p, want in zip(params.all(), mean_grads):
@@ -439,8 +494,7 @@ def test_make_batch_needs_an_example():
 def test_losses_accept_item_ids_beyond_the_token_table(tiny_vocab, lex):
     # Position 1 holds an item-table id; with more items than tokens it is not
     # a valid token id, and it must never be taken as an LM target.
-    vocab = replace(tiny_vocab, id_to_item=tuple(f"i{i:03d}" for i in range(30)),
-                    token_to_id={}, user_to_id={}, item_to_id={})
+    vocab = replace(tiny_vocab, id_to_item=tuple(f"i{i:03d}" for i in range(30)))
     config = ModelConfig(n_tokens=vocab.n_tokens, n_users=2, n_items=30, max_len=14, embed_dim=8, ffn_dim=16)
     params = ModelParams(config, seed=9)
     prepared = _mixed_batch(config, vocab, lex)
@@ -450,7 +504,7 @@ def test_losses_accept_item_ids_beyond_the_token_table(tiny_vocab, lex):
     for example, vnrc in [prepared[0], (batch, batch_vnrc)]:
         loss, _, _ = total_loss(example, params, config, vnrc)
         nm.backward(loss)
-        assert np.isfinite(loss.item())
+        assert np.isfinite(float(loss.data))
         for p in params.all():
             p.zero_grad()
 
