@@ -6,9 +6,11 @@ seed, a desk model is trained on acceptance-7's synthetic corpus with the
 emotion loss (c2 = 1) and without it (c2 = 0); each decodes the test split
 with ``batch_generate``, and the audit compares the generated emotion
 distribution with the ground truth's.  Every run is repeated under two
-summation orders of ``numerics.matmul``'s weight gradient: the library's one
-flattened GEMM ("flat") and the sum of one GEMM per slice ("per_slice"), which
-this script patches in.  The gap between the two orders is how much of a
+summation orders of each weight gradient that ``numerics.matmul`` and
+``numerics.attention`` take over a stack, all of them made by
+``numerics._accumulate_product``: the library's one flattened GEMM ("flat")
+and the sum of one GEMM per slice ("per_slice"), which this script patches
+in.  The gap between the two orders is how much of a
 result is rounding.
 
 The setting acceptance-7 asserts on is chosen by SELECTION_RULE, fixed before
@@ -50,26 +52,13 @@ SELECTION_RULE = (
     "mean L1 without it and the wins are a strict majority of the seeds."
 )
 
-_flat_matmul = nm.matmul
+_flat_product = nm._accumulate_product
 
 
-def per_slice_matmul(a, b, transpose_b=False, bias=None):
-    """``nm.matmul`` whose weight gradient sums one GEMM per slice of a stack, slice by slice;
-    its input and bias gradients are the library's."""
-    out = _flat_matmul(a, b, transpose_b, bias=bias)
-    if out._backward_fn is not None:
-        def backward_fn(g):
-            if a.requires_grad:
-                g_rows = g.reshape(-1, g.shape[-1])
-                nm._accumulate(a, (g_rows @ b.data if transpose_b else g_rows @ b.data.T).reshape(a.data.shape))
-            if b.requires_grad:
-                for a_slice, g_slice in zip(a.data.reshape(-1, *a.data.shape[-2:]), g.reshape(-1, *g.shape[-2:])):
-                    nm._accumulate(b, g_slice.T @ a_slice if transpose_b else a_slice.T @ g_slice)
-            if bias is not None and bias.requires_grad:
-                nm._accumulate(bias, nm._unbroadcast(g, bias.data.shape))
-
-        out._backward_fn = backward_fn
-    return out
+def per_slice_product(w, a, g):
+    """``nm._accumulate_product`` as one GEMM per slice of the stacks, each added to ``w``'s gradient in turn."""
+    for a_slice, g_slice in zip(a.reshape(-1, *a.shape[-2:]), g.reshape(-1, *g.shape[-2:])):
+        nm._accumulate(w, a_slice.T @ g_slice)
 
 
 def audit_l1(job: tuple) -> float:
@@ -82,11 +71,11 @@ def audit_l1(job: tuple) -> float:
     test = assign_emotion_tags(list(split.test), lex)
     config = config_for_vocab(vocab, embed_dim=embed_dim, ffn_dim=ffn_dim, c2=c2, mask_emotion_tag=mask)
     tc = TrainConfig(batch_size=16, learning_rate=lr, clip=1.0, max_epochs=epochs, patience=epochs, seed=seed)
-    nm.matmul = per_slice_matmul if order == "per_slice" else _flat_matmul
+    nm._accumulate_product = per_slice_product if order == "per_slice" else _flat_product
     try:
         params, _ = train(config, tc, split, lex, vocab)
     finally:
-        nm.matmul = _flat_matmul
+        nm._accumulate_product = _flat_product
     results = batch_generate(params, config, vocab, lex,
                              [GenerationQuery(r.user, r.item, r.features, r.emotion) for r in test])
     return emotion_audit([r.explanation for r in test], [" ".join(r.tokens) for r in results], lex).l1_distance

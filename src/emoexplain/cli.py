@@ -9,6 +9,7 @@ invalid input, 3 numeric failure, 4 threshold failure.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import re
@@ -165,24 +166,50 @@ def _held(lock: Path) -> bool:
 
 @contextmanager
 def output_lock(out_dir: Path):
-    """Hold ``out_dir/.lock``, which names this process, for the block; a lock left by a dead process is taken over."""
+    """Hold ``out_dir/.lock``, which names this process, for the block; a lock left by a dead process is taken over.
+
+    The holder also holds an exclusive ``flock`` on the lock's descriptor.  A run takes a dead lock over
+    by that ``flock``, then checks that the path still names the locked file and rewrites its pid in
+    place, so of two runs that find the same dead lock only one proceeds.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
-    try:
-        handle = os.open(lock, flags)
-    except FileExistsError:
+    locked = ValueError(f"output directory {out_dir} is locked by another run (remove {lock} if no run uses it)")
+    while True:
+        try:
+            handle = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_RDWR)
+            fcntl.flock(handle, fcntl.LOCK_EX)  # waits only while a run that opened this new file reads its pid
+            break
+        except FileExistsError:
+            pass
         if _held(lock):
-            raise ValueError(f"output directory {out_dir} is locked by another run "
-                             f"(remove {lock} if no run uses it)") from None
-        lock.unlink(missing_ok=True)
-        handle = os.open(lock, flags)  # exits 2 naming the lock if another run took it over first
+            raise locked
+        try:
+            handle = os.open(lock, os.O_RDWR)
+        except FileNotFoundError:  # its holder finished meanwhile
+            continue
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:  # another run holds it, or is taking it over
+            os.close(handle)
+            raise locked from None
+        try:
+            current = os.stat(lock).st_ino == os.fstat(handle).st_ino
+        except FileNotFoundError:
+            current = False
+        if current and not _held(lock):
+            break
+        os.close(handle)
+        if current:  # a new run's lock, opened before it held the flock
+            raise locked
+        # Released and removed, or replaced, since it was opened: start again.
     try:
-        with os.fdopen(handle, "w", encoding="ascii") as fh:
-            fh.write(str(os.getpid()))
+        os.ftruncate(handle, 0)
+        os.write(handle, str(os.getpid()).encode("ascii"))
         yield
     finally:
         lock.unlink(missing_ok=True)
+        os.close(handle)
 
 
 @contextmanager

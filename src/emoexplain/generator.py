@@ -92,7 +92,7 @@ def _decode_group(
     live = [i for i, _ in members]
     generated: dict[int, list[int]] = {i: [] for i in live}
     done: dict[int, tuple[list[int], str]] = {}
-    cache = DecodeCache()
+    cache = DecodeCache(config)
     with nm.no_grad():
         while True:
             scores = next_token_logits(batch, params, config, vnrc, cache)

@@ -10,7 +10,7 @@ the decoder) is causal so the next-token factorization stays valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -230,47 +230,38 @@ def make_batch(prepared: list[tuple[EncodedExample, np.ndarray]]) -> tuple[Batch
     return batch, np.stack([vnrc[:length] for _, vnrc in prepared])
 
 
-# One stack's keys and values: a (K, V) pair per layer, each with a row per position.
-StackCache = list[tuple[Tensor, Tensor]]
+# One stack's keys and values: a cache per layer.
+StackCache = list[nm.KVCache]
 
 
-@dataclass
 class DecodeCache:
     """Keys and values of the positions fed so far, for incremental decoding.
 
-    Decoding a ``Batch`` gives every cached K/V a leading batch axis.
+    Every layer of the three stacks has a ``KVCache`` of ``config.max_len``
+    rows; decoding a ``Batch`` gives its buffers a leading batch axis.
     """
 
-    emotion: StackCache = field(default_factory=list)
-    context: StackCache = field(default_factory=list)
-    decoder: StackCache = field(default_factory=list)
-    length: int = 0
+    def __init__(self, config: ModelConfig):
+        self.emotion, self.context, self.decoder = (
+            [nm.KVCache(config.max_len) for _ in range(n)]
+            for n in (config.encoder_layers, config.encoder_layers, config.decoder_layers))
+        self.length = 0
 
     def select(self, rows: np.ndarray) -> None:
         """Keep only the batch rows ``rows`` of every cached K/V."""
-        for stack in (self.emotion, self.context, self.decoder):
-            stack[:] = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in stack]
+        for layer in (*self.emotion, *self.context, *self.decoder):
+            layer.select(rows)
 
 
 def _encoder_stack(x: Tensor, layers: list[LayerParams], n_heads: int, cache: StackCache | None = None) -> Tensor:
     """The rows of ``x`` through a causal stack.
 
     With a ``cache``, ``x`` holds the positions that follow the cached ones:
-    each layer appends its new K/V rows to the cache and attends over all of
+    each layer appends its new K/V rows to its cache and attends over all of
     them, so earlier positions are never recomputed.
     """
     for i, lp in enumerate(layers):
-        q = nm.matmul(x, lp.wq)
-        k = nm.matmul(x, lp.wk)
-        v = nm.matmul(x, lp.wv)
-        if cache is not None:
-            if i < len(cache):
-                k = nm.concat([cache[i][0], k], axis=-2)
-                v = nm.concat([cache[i][1], v], axis=-2)
-                cache[i] = (k, v)
-            else:
-                cache.append((k, v))
-        att = nm.matmul(nm.attention(q, k, v, n_heads), lp.wo, bias=lp.bo)
+        att = nm.attention(x, lp.wq, lp.wk, lp.wv, lp.wo, lp.bo, n_heads, None if cache is None else cache[i])
         x = nm.layer_norm(x, lp.ln1_gamma, lp.ln1_beta, residual=att)
         h = nm.relu(nm.matmul(x, lp.ffn_w1, bias=lp.ffn_b1))
         h = nm.matmul(h, lp.ffn_w2, bias=lp.ffn_b2)

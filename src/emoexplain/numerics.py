@@ -94,6 +94,11 @@ def _accumulate(t: Tensor, g: np.ndarray, where=None) -> None:
         np.add.at(t.grad, where, g)
 
 
+def _accumulate_product(w: Tensor, a: np.ndarray, g: np.ndarray) -> None:
+    """Add ``a.T @ g`` into ``w``'s gradient, summed over every row of the stacks ``a`` and ``g`` in one GEMM."""
+    _accumulate(w, a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+
+
 def _result(op: str, data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     try:
@@ -145,7 +150,7 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False, bias: Tensor | None 
         if a.requires_grad:
             _accumulate(a, (g_rows @ b.data if transpose_b else g_rows @ b.data.T).reshape(a.data.shape))
         if b.requires_grad:
-            _accumulate(b, g_rows.T @ rows if transpose_b else rows.T @ g_rows)
+            _accumulate_product(b, g, a.data) if transpose_b else _accumulate_product(b, a.data, g)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, _unbroadcast(g, bias.data.shape))
 
@@ -291,54 +296,117 @@ def gather_rows(a: Tensor, rows) -> Tensor:
     return _result("gather_rows", a.data[where], (a,), backward_fn)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Causal-masked scaled dot-product attention over ``n_heads`` heads.
+class KVCache:
+    """One attention layer's keys and values of the positions fed so far, for incremental decoding.
 
-    k and v hold positions 0..n-1 and q holds the last m <= n of them, so the
-    query row for position p attends to positions 0..p only.  Inputs and
-    output are (rows, dim), or stacks (B, rows, dim) attended slice by slice,
-    with dim divisible by n_heads.
+    The two buffers hold ``capacity`` rows after the input's leading axes.  They are made at the
+    first append and then written in place; attention reads views of their filled rows.
     """
-    if not (k.data.shape == v.data.shape and q.data.ndim == k.data.ndim in (2, 3)
-            and q.data.shape[:-2] == k.data.shape[:-2] and q.data.shape[-1] == k.data.shape[-1]
-            and q.data.shape[-2] <= k.data.shape[-2]):
-        raise ValueError(f"attention shape mismatch: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
-    m, dim = q.data.shape[-2:]
-    n = k.data.shape[-2]
+
+    __slots__ = ("capacity", "keys", "values", "length")
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.keys: np.ndarray | None = None
+        self.values: np.ndarray | None = None
+        self.length = 0
+
+    def append(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Write ``k`` and ``v`` after the rows held so far; returns views of every filled row."""
+        if self.keys is None:
+            shape = (*k.shape[:-2], self.capacity, k.shape[-1])
+            self.keys, self.values = np.empty(shape), np.empty(shape)
+        end = self.length + k.shape[-2]
+        if k.shape[:-2] != self.keys.shape[:-2] or k.shape[-1] != self.keys.shape[-1] or end > self.capacity:
+            raise ValueError(f"{k.shape} keys do not fit a cache of {self.keys.shape} "
+                             f"holding {self.length} rows")
+        self.keys[..., self.length:end, :] = k
+        self.values[..., self.length:end, :] = v
+        self.length = end
+        return self.keys[..., :end, :], self.values[..., :end, :]
+
+    def select(self, rows) -> None:
+        """Keep only the batch rows ``rows``, in that order."""
+        if self.keys is not None:
+            self.keys, self.values = self.keys[rows], self.values[rows]
+
+
+def _check_finite(op: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise FloatingPointError(f"non-finite values in the output of {op}")
+
+
+def attention(
+    x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, bo: Tensor, n_heads: int,
+    cache: KVCache | None = None,
+) -> Tensor:
+    """The self-attention block: causal scaled dot-product attention over ``n_heads`` heads of
+    the projections ``x @ wq``, ``x @ wk`` and ``x @ wv``, then ``@ wo + bo``.
+
+    ``x`` is (rows, dim), or a stack (B, rows, dim) attended slice by slice, with dim divisible
+    by n_heads; the weights are (dim, dim) and ``bo`` is (dim,).  The query row for position p
+    attends to positions 0..p only.  With a ``cache``, the rows of ``x`` are the positions that
+    follow the cached ones: their keys and values are appended to it, and the cached rows are
+    constants to the backward.
+    """
+    shape = x.data.shape
+    dim = shape[-1]
+    if (x.data.ndim not in (2, 3) or {wq.data.shape, wk.data.shape, wv.data.shape, wo.data.shape} != {(dim, dim)}
+            or bo.data.shape != (dim,)):
+        raise ValueError(f"attention shape mismatch: x {shape}, wq {wq.data.shape}, wk {wk.data.shape}, "
+                         f"wv {wv.data.shape}, wo {wo.data.shape}, bo {bo.data.shape}")
     if dim % n_heads:
         raise ValueError(f"dim {dim} not divisible by {n_heads} heads")
     dk = dim // n_heads
     scale = 1.0 / math.sqrt(dk)
 
-    def split(x):  # (..., rows, dim) -> (..., heads, rows, dk)
-        return x.reshape(*x.shape[:-1], n_heads, dk).swapaxes(-2, -3)
+    def split(a):  # (..., rows, dim) -> (..., heads, rows, dk)
+        return a.reshape(*a.shape[:-1], n_heads, dk).swapaxes(-2, -3)
 
-    def merge(x):  # (..., heads, rows, dk) -> (..., rows, dim)
-        x = x.swapaxes(-2, -3)
-        return x.reshape(*x.shape[:-2], dim)
+    def merge(a):  # (..., heads, rows, dk) -> (..., rows, dim)
+        a = a.swapaxes(-2, -3)
+        return a.reshape(*a.shape[:-2], dim)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    rows = x.data.reshape(-1, dim)
+    qkv = np.empty((3, *shape))  # the three products side by side, so one check covers them
+    for w, dst in zip((wq, wk, wv), qkv):
+        np.matmul(rows, w.data, out=dst.reshape(-1, dim))
+    _check_finite("attention", qkv)
+    q, k, v = qkv
+    if cache is not None:
+        k, v = cache.append(k, v)
+    m, n = shape[-2], k.shape[-2]
+    qh, kh, vh = split(q), split(k), split(v)
     scores = (qh @ kh.swapaxes(-1, -2)) * scale
     if m > 1:  # one query row is the last position, which sees every key
         scores = np.where(np.tril(np.ones((m, n), dtype=bool), k=n - m), scores, -np.inf)
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     att = e / e.sum(axis=-1, keepdims=True)
-    out = merge(att @ vh)
+    heads = merge(att @ vh)
+    _check_finite("attention", heads)
+    out = (heads.reshape(-1, dim) @ wo.data).reshape(shape)
+    out += bo.data
 
     def backward_fn(g):
-        gh = split(g)
-        if v.requires_grad:
-            _accumulate(v, merge(att.swapaxes(-1, -2) @ gh))
-        if q.requires_grad or k.requires_grad:
-            datt = gh @ vh.swapaxes(-1, -2)
-            ds = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
-            if q.requires_grad:
-                _accumulate(q, merge((ds @ kh) * scale))
-            if k.requires_grad:
-                _accumulate(k, merge((ds.swapaxes(-1, -2) @ qh) * scale))
+        gh = split((g.reshape(-1, dim) @ wo.data.T).reshape(shape))
+        if wo.requires_grad:
+            _accumulate_product(wo, heads, g)
+        if bo.requires_grad:
+            _accumulate(bo, _unbroadcast(g, bo.data.shape))
+        dv = merge(att.swapaxes(-1, -2) @ gh)
+        datt = gh @ vh.swapaxes(-1, -2)
+        ds = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
+        dq = merge((ds @ kh) * scale)
+        dk = merge((ds.swapaxes(-1, -2) @ qh) * scale)
+        # Only the new rows' keys and values come from x; x's gradient sums in the unfused graph's q, k, v order.
+        for w, dw in ((wq, dq), (wk, dk[..., n - m:, :]), (wv, dv[..., n - m:, :])):
+            if x.requires_grad:
+                _accumulate(x, (dw.reshape(-1, dim) @ w.data.T).reshape(shape))
+            if w.requires_grad:
+                _accumulate_product(w, x.data, dw)
 
-    return _result("attention", out, (q, k, v), backward_fn)
+    return _result("attention", out, (x, wq, wk, wv, wo, bo), backward_fn)
 
 
 def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:

@@ -143,7 +143,8 @@ def train(
         ))
         if valid_total < best_val:
             best_val = valid_total
-            best_snapshot = params.snapshot(best_snapshot)
+            if epoch + 1 < train_config.max_epochs:  # no later epoch can move the weights of the last one
+                best_snapshot = params.snapshot(best_snapshot)
             best_epoch = epoch
             stale = 0
         else:
@@ -151,7 +152,7 @@ def train(
             if stale >= train_config.patience:
                 break
 
-    if best_snapshot is not None:
+    if 0 <= best_epoch < len(history) - 1:  # a best epoch that ran last left its weights in place
         params.restore(best_snapshot)
     for p in all_params:  # zero after the last step; the caller only reads the weights
         p.grad = None

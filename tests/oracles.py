@@ -6,7 +6,9 @@ agree by computing the same quantity.  ``generate_oracle`` is greedy decoding
 without a cache: every step runs ``model.forward`` over all max_len positions.
 ``biased_matmul_oracle`` and ``residual_layer_norm_oracle`` are the unfused
 compositions that ``matmul``'s ``bias`` and ``layer_norm``'s ``residual`` fold
-into one op each.  ``clipped_overlap_oracle``, ``classify_oracle`` and
+into one op each, and ``attention_oracle`` is the five ops (three products,
+``scaled_dot_product_oracle`` of q, k and v, the biased output projection)
+that ``attention`` fuses.  ``clipped_overlap_oracle``, ``classify_oracle`` and
 ``emotion_input_oracle`` are the earlier formulas that ``EvaluationPair.overlap``,
 ``classify_explanation`` and ``emotion_input_matrix`` must reproduce bit for bit.
 """
@@ -168,6 +170,58 @@ def biased_matmul_oracle(a, w, bias, transpose_b=False):
 def residual_layer_norm_oracle(x, residual, gamma, beta):
     """``layer_norm(x, gamma, beta, residual=residual)`` as two ops: ``add``, then the norm."""
     return nm.layer_norm(nm.add(x, residual), gamma, beta)
+
+
+def scaled_dot_product_oracle(q, k, v, n_heads):
+    """The attention of projected ``q``, ``k`` and ``v`` as one op: k and v hold positions 0..n-1 and
+    q the last m <= n of them, so the query row for position p attends to positions 0..p only."""
+    m, dim = q.data.shape[-2:]
+    n = k.data.shape[-2]
+    dk = dim // n_heads
+    scale = 1.0 / math.sqrt(dk)
+
+    def split(x):  # (..., rows, dim) -> (..., heads, rows, dk)
+        return x.reshape(*x.shape[:-1], n_heads, dk).swapaxes(-2, -3)
+
+    def merge(x):  # (..., heads, rows, dk) -> (..., rows, dim)
+        x = x.swapaxes(-2, -3)
+        return x.reshape(*x.shape[:-2], dim)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    if m > 1:
+        scores = np.where(np.tril(np.ones((m, n), dtype=bool), k=n - m), scores, -np.inf)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    att = e / e.sum(axis=-1, keepdims=True)
+
+    def backward_fn(g):
+        gh = split(g)
+        if v.requires_grad:
+            nm._accumulate(v, merge(att.swapaxes(-1, -2) @ gh))
+        if q.requires_grad or k.requires_grad:
+            datt = gh @ vh.swapaxes(-1, -2)
+            ds = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
+            if q.requires_grad:
+                nm._accumulate(q, merge((ds @ kh) * scale))
+            if k.requires_grad:
+                nm._accumulate(k, merge((ds.swapaxes(-1, -2) @ qh) * scale))
+
+    return nm._result("attention", merge(att @ vh), (q, k, v), backward_fn)
+
+
+def attention_oracle(x, wq, wk, wv, wo, bo, n_heads, cache=None):
+    """``attention(x, wq, wk, wv, wo, bo, n_heads, cache)`` as five ops, with ``concat`` for the cache.
+
+    ``cache`` is a list, empty before the first call, that holds the keys and values of the positions
+    fed so far as constants, as ``KVCache`` does.
+    """
+    q, k, v = (nm.matmul(x, w) for w in (wq, wk, wv))
+    if cache is not None:
+        if cache:
+            k, v = (nm.concat([held, new], axis=-2) for held, new in zip(cache, (k, v)))
+        cache[:] = [nm.Tensor(k.data), nm.Tensor(v.data)]
+    return nm.matmul(scaled_dot_product_oracle(q, k, v, n_heads), wo, bias=bo)
 
 
 def clipped_overlap_oracle(hyp, ref, n):

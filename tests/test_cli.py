@@ -241,6 +241,40 @@ def test_lock_of_a_dead_process_is_reclaimed_and_a_live_one_refused(tmp_path, co
         assert not (out / "train.jsonl").exists()
 
 
+@pytest.mark.parametrize("first_run_finishes", [False, True])
+def test_two_runs_that_find_the_same_dead_lock_never_both_hold_it(tmp_path, monkeypatch, first_run_finishes):
+    """Run B judges the dead lock, then run A takes it over before B acts: B is refused while A holds
+    the lock, and takes a fresh one once A has finished."""
+    from emoexplain import cli
+
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".lock").write_text(str(_dead_pid()))
+    held = cli._held
+    first = cli.output_lock(out)
+
+    def interleaved(lock):
+        verdict = held(lock)
+        if cli._held is interleaved:  # only B's first look; A's own looks go straight through
+            monkeypatch.setattr(cli, "_held", held)
+            first.__enter__()
+            if first_run_finishes:
+                first.__exit__(None, None, None)
+        return verdict
+
+    monkeypatch.setattr(cli, "_held", interleaved)
+    if first_run_finishes:
+        with cli.output_lock(out):
+            assert (out / ".lock").read_text() == str(os.getpid())
+    else:
+        with pytest.raises(ValueError, match="is locked by another run"):
+            with cli.output_lock(out):
+                pass
+        assert (out / ".lock").read_text() == str(os.getpid())  # A's lock is still in place
+        first.__exit__(None, None, None)
+    assert not (out / ".lock").exists()
+
+
 def test_gradcheck_exits_zero(capsys):
     assert main(["gradcheck", "--seed", "0"]) == 0
     assert "max relative error" in capsys.readouterr().out

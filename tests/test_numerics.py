@@ -96,47 +96,78 @@ def test_backward_unreachable_parameter_keeps_zero_gradient():
     assert np.array_equal(used.grad, np.full((2, 2), 2.0))
 
 
+def _attention_weights(rng, dim: int) -> list[Parameter]:
+    """wq, wk, wv, wo and bo of one attention block, scaled as Glorot draws are."""
+    scale = 1.0 / math.sqrt(dim)
+    return [*(Parameter(rng.normal(size=(dim, dim)) * scale, name) for name in ("wq", "wk", "wv", "wo")),
+            Parameter(rng.normal(size=dim) * scale, "bo")]
+
+
 def test_attention_causal_mask():
     rng = np.random.default_rng(3)
+    weights = _attention_weights(rng, 4)
     base = rng.normal(size=(6, 4))
     perturbed = base.copy()
     perturbed[4:] += 1.0
-    out_a = nm.attention(Tensor(base), Tensor(base), Tensor(base), n_heads=2).data
-    out_b = nm.attention(Tensor(perturbed), Tensor(perturbed), Tensor(perturbed), n_heads=2).data
+    out_a = nm.attention(Tensor(base), *weights, n_heads=2).data
+    out_b = nm.attention(Tensor(perturbed), *weights, n_heads=2).data
     assert np.array_equal(out_a[:4], out_b[:4])
     assert not np.array_equal(out_a[4:], out_b[4:])
 
 
+def _cached(x, weights, heads, spans):
+    """The rows of ``x`` fed span by span through one cache, under ``no_grad``."""
+    cache = nm.KVCache(x.shape[-2])
+    with nm.no_grad():
+        out = [nm.attention(Tensor(x[..., start:stop, :]), *weights, heads, cache).data for start, stop in spans]
+    assert cache.length == x.shape[-2]
+    return np.concatenate(out, axis=-2)
+
+
 @pytest.mark.parametrize("m,n,heads", [(1, 1, 1), (1, 6, 2), (3, 6, 2), (5, 9, 3), (1, 32, 2), (7, 8, 4)])
 def test_attention_last_rows_equal_full_attention(m, n, heads):
+    """After a cached prefill of the first n - m rows, the last m rows, fed at once or one by one,
+    give the rows of one full pass."""
     rng = np.random.default_rng(m * 100 + n)
-    q, k, v = (rng.normal(size=(n, 12)) for _ in range(3))
-    full = nm.attention(Tensor(q), Tensor(k), Tensor(v), n_heads=heads).data
-    last = nm.attention(Tensor(q[n - m:]), Tensor(k), Tensor(v), n_heads=heads).data
-    assert last.shape == (m, 12)
-    assert np.max(np.abs(last - full[n - m:])) <= 1e-12
+    weights = _attention_weights(rng, 12)
+    for batch in ((), (3,)):
+        x = rng.normal(size=(*batch, n, 12))
+        full = nm.attention(Tensor(x), *weights, n_heads=heads).data
+        prefill = [(0, n - m)] if n > m else []
+        for steps in ([(n - m, n)], [(p, p + 1) for p in range(n - m, n)]):
+            assert np.max(np.abs(_cached(x, weights, heads, prefill + steps) - full)) <= 1e-12
 
 
 def test_attention_last_rows_gradcheck():
+    """The cached rows are constants to the backward, so probe what they do not depend on:
+    the new rows' inputs, the query weights and the output projection."""
     rng = np.random.default_rng(11)
-    q = Parameter(rng.normal(size=(3, 4)), "q")
-    k = Parameter(rng.normal(size=(5, 4)), "k")
-    v = Parameter(rng.normal(size=(5, 4)), "v")
-    w = Tensor(rng.normal(size=(3, 4)))
-    err = nm.grad_check(lambda: nm.tensor_sum(nm.matmul(nm.attention(q, k, v, n_heads=2), w, transpose_b=True)),
-                        [q, k, v], n_samples=60)
-    assert err < 1e-3
+    weights = _attention_weights(rng, 4)
+    prefix = rng.normal(size=(2, 4))
+    last = Parameter(rng.normal(size=(3, 4)), "last")
+    probe = _probe(rng, (3, 4))
 
+    def cached():
+        cache = nm.KVCache(5)
+        with nm.no_grad():
+            nm.attention(Tensor(prefix), *weights, 2, cache)
+        return probe(nm.attention(last, *weights, 2, cache))
 
-def test_attention_rejects_more_query_rows_than_keys():
-    with pytest.raises(ValueError, match="attention shape mismatch"):
-        nm.attention(Tensor(np.ones((4, 6))), Tensor(np.ones((3, 6))), Tensor(np.ones((3, 6))), n_heads=2)
+    wq, _, _, wo, bo = weights
+    assert nm.grad_check(cached, [last, wq, wo, bo], n_samples=60) < 1e-3
 
 
 def test_attention_rejects_indivisible_heads():
-    x = Tensor(np.ones((4, 6)))
+    rng = np.random.default_rng(4)
     with pytest.raises(ValueError, match="not divisible"):
-        nm.attention(x, x, x, n_heads=4)
+        nm.attention(Tensor(np.ones((4, 6))), *_attention_weights(rng, 6), n_heads=4)
+
+
+def test_attention_rejects_weights_of_another_width():
+    weights = _attention_weights(np.random.default_rng(5), 6)
+    weights[2] = Parameter(np.ones((6, 4)), "wv")
+    with pytest.raises(ValueError, match=r"attention shape mismatch: x \(4, 6\).*wv \(6, 4\)"):
+        nm.attention(Tensor(np.ones((4, 6))), *weights, n_heads=2)
 
 
 def test_concat_and_slice_round_trip():
@@ -225,22 +256,26 @@ def test_matmul_stack_matches_slices_and_sums_weight_gradient(transpose_b):
 
 @pytest.mark.parametrize("m,n,heads", [(4, 4, 2), (2, 5, 2), (1, 3, 3)])
 def test_attention_stack_matches_slices_and_gradchecks(m, n, heads):
+    """A stack's last m rows, after a cached prefill of its first n - m, match each slice's 2-d call."""
     rng = np.random.default_rng(21 + m + n)
-    q = Parameter(rng.normal(size=(3, m, 6)), "q")
-    k = Parameter(rng.normal(size=(3, n, 6)), "k")
-    v = Parameter(rng.normal(size=(3, n, 6)), "v")
-    out = nm.attention(q, k, v, n_heads=heads).data
-    assert out.shape == (3, m, 6)
+    x = Parameter(rng.normal(size=(3, n, 6)), "x")
+    weights = _attention_weights(rng, 6)
+    spans = [(0, n - m), (n - m, n)] if n > m else [(0, n)]
+    out = _cached(x.data, weights, heads, spans)
+    assert out.shape == (3, n, 6)
     for i in range(3):
-        ref = nm.attention(Tensor(q.data[i]), Tensor(k.data[i]), Tensor(v.data[i]), n_heads=heads).data
-        assert _close(out[i], ref)
-    probe = _probe(rng, (3, m, 6))
-    assert nm.grad_check(lambda: probe(nm.attention(q, k, v, n_heads=heads)), [q, k, v], n_samples=90) < 1e-3
+        assert _close(out[i], _cached(x.data[i], weights, heads, spans))
+    probe = _probe(rng, (3, n, 6))
+    assert nm.grad_check(lambda: probe(nm.attention(x, *weights, n_heads=heads)), [x, *weights], n_samples=150) < 1e-3
 
 
 def test_attention_stack_rejects_mismatched_batches():
-    with pytest.raises(ValueError, match="attention shape mismatch"):
-        nm.attention(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 3, 4))), Tensor(np.ones((3, 3, 4))), n_heads=2)
+    rng = np.random.default_rng(22)
+    weights = _attention_weights(rng, 4)
+    cache = nm.KVCache(3)
+    nm.attention(Tensor(np.ones((2, 2, 4))), *weights, 2, cache)
+    with pytest.raises(ValueError, match=r"\(3, 1, 4\) keys do not fit a cache of \(2, 3, 4\) holding 2 rows"):
+        nm.attention(Tensor(np.ones((3, 1, 4))), *weights, 2, cache)
 
 
 def test_layer_norm_stack_matches_slices_and_sums_affine_gradients():
@@ -480,6 +515,72 @@ def test_layer_norm_residual_is_bitwise_add_then_layer_norm(shape):
         assert nm.grad_check(lambda: probe(folded()), leaves, n_samples=80) < 1e-3
 
 
+@pytest.mark.parametrize("shape", [(5, 6), (3, 5, 6), (16, 14, 64)])
+def test_attention_is_bitwise_its_unfused_composition(shape):
+    rng = np.random.default_rng(sum(shape) + 1)
+    x = Parameter(rng.normal(size=shape), "x")
+    weights = _attention_weights(rng, shape[-1])
+    gamma = Parameter(rng.normal(size=shape[-1:]), "gamma")
+    beta = Parameter(rng.normal(size=shape[-1:]), "beta")
+    # x also reaches the loss through the residual, as in a layer, so its gradient's sum order shows.
+    _assert_same_bits(lambda: nm.layer_norm(x, gamma, beta, residual=nm.attention(x, *weights, 2)),
+                      lambda: nm.layer_norm(x, gamma, beta, residual=oracles.attention_oracle(x, *weights, 2)),
+                      [x, *weights, gamma, beta], rng)
+    # An input that needs no gradient leaves the weights' gradients unchanged.
+    inputs = Tensor(x.data)
+    _assert_same_bits(lambda: nm.attention(inputs, *weights, 2), lambda: oracles.attention_oracle(inputs, *weights, 2),
+                      weights, rng)
+
+
+def _cached_steps(x, weights, spans, targets, step):
+    """Output and gradient bytes of each span of positions fed through ``step(x_span)``, a cached call."""
+    out = []
+    for start, stop in spans:
+        x_span = Parameter(x[..., start:stop, :], "x")
+        out.append(_output_and_gradients(lambda: step(x_span), [x_span, *weights], targets[..., start:stop]))
+    return out
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_attention_cached_steps_are_bitwise_the_concat_composition(batch):
+    """A prefill, then one-row steps until the last step fills the cache's last row, as a length-budget
+    stop does; each step's output and gradients equal the composition that joins cached rows with ``concat``."""
+    rng = np.random.default_rng(23 + len(batch))
+    weights = _attention_weights(rng, 6)
+    x = rng.normal(size=(*batch, 7, 6))
+    targets = rng.integers(0, 6, size=(*batch, 7))
+    spans = [(0, 4), (4, 5), (5, 6), (6, 7)]
+    cache, held = nm.KVCache(7), []
+    fused = _cached_steps(x, weights, spans, targets, lambda xs: nm.attention(xs, *weights, 2, cache))
+    unfused = _cached_steps(x, weights, spans, targets,
+                            lambda xs: oracles.attention_oracle(xs, *weights, 2, held))
+    assert fused == unfused
+    assert cache.length == cache.capacity == 7
+    with pytest.raises(ValueError, match="holding 7 rows"):
+        nm.attention(Tensor(x[..., 6:, :]), *weights, 2, cache)
+
+
+def test_attention_cache_select_keeps_the_chosen_rows():
+    """Rows that leave the batch leave the cache; the rows kept decode on as alone."""
+    rng = np.random.default_rng(24)
+    weights = _attention_weights(rng, 6)
+    x = rng.normal(size=(4, 6, 6))
+    keep = [3, 0]  # in that order
+    cache, held = nm.KVCache(6), []
+    with nm.no_grad():
+        for span in (slice(0, 3), slice(3, 4)):
+            nm.attention(Tensor(x[:, span]), *weights, 2, cache)
+            oracles.attention_oracle(Tensor(x[:, span]), *weights, 2, held)
+        cache.select(keep)
+        held[:] = [Tensor(t.data[keep]) for t in held]
+        got = [nm.attention(Tensor(x[keep, p:p + 1]), *weights, 2, cache).data for p in (4, 5)]
+        want = [oracles.attention_oracle(Tensor(x[keep, p:p + 1]), *weights, 2, held).data for p in (4, 5)]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert cache.keys.shape == (2, 6, 6)
+    full = nm.attention(Tensor(x[keep]), *weights, n_heads=2).data
+    assert np.max(np.abs(np.concatenate(got, axis=-2) - full[:, 4:])) <= 1e-12
+
+
 def test_layer_norm_is_bitwise_the_np_mean_formula():
     rng = np.random.default_rng(23)
     x = Parameter(rng.normal(size=(4, 7, 9)) * 3 + 1, "x")
@@ -527,8 +628,9 @@ def test_grad_check_samples_at_most_requested():
 def test_primitives_bitwise_deterministic():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(8, 8))
-    a = nm.attention(Tensor(x), Tensor(x), Tensor(x), n_heads=2).data
-    b = nm.attention(Tensor(x), Tensor(x), Tensor(x), n_heads=2).data
+    weights = _attention_weights(rng, 8)
+    a = nm.attention(Tensor(x), *weights, n_heads=2).data
+    b = nm.attention(Tensor(x), *weights, n_heads=2).data
     assert np.array_equal(a, b)
 
 

@@ -26,7 +26,7 @@ def _load_script(name: str):
 def test_debias_sweep_runs_one_setting_under_both_orders():
     sweep = _load_script("debias_sweep")
     setting = sweep.run_setting(0.3, False, 1, seeds=(0,), embed_dim=8, ffn_dim=16)
-    assert nm.matmul is sweep._flat_matmul  # the per-slice patch does not outlive a run
+    assert nm._accumulate_product is sweep._flat_product  # the per-slice patch does not outlive a run
     assert set(setting["orders"]) == set(sweep.ORDERS)
     for order in setting["orders"].values():
         assert len(order["l1_on"]) == len(order["l1_off"]) == 1

@@ -172,6 +172,46 @@ def test_train_returns_the_best_epoch_weights(monkeypatch, small_split, small_vo
         assert np.array_equal(p.data, want)
 
 
+@pytest.mark.parametrize("valid_totals, max_epochs, patience, best, snapshots, restores", [
+    ((5.0, 4.0, 3.0, 2.0), 4, 4, 3, 3, 0),  # the last allowed epoch is best: its weights are never copied
+    ((5.0, 3.0, 4.0, 6.0), 10, 2, 1, 2, 1),  # training stops early, and the best epoch's weights come back
+    ((5.0, 3.0, 4.0, 6.0), 4, 4, 1, 2, 1),  # every epoch runs, and an earlier one is best
+])
+def test_train_copies_weights_only_when_a_later_epoch_can_move_them(
+        monkeypatch, small_split, small_vocab, lex, valid_totals, max_epochs, patience, best, snapshots, restores):
+    from emoexplain import trainer
+    from emoexplain.model import ModelParams
+
+    seen = []
+    mean_losses = trainer._mean_losses
+
+    def scripted(params, prepared, config, batch_size):
+        seen.append([p.data.copy() for p in params.all()])
+        if len(seen) == 1:
+            return mean_losses(params, prepared, config, batch_size)
+        return 0.0, 0.0, valid_totals[len(seen) - 2]
+
+    calls = {"snapshot": 0, "restore": 0}
+
+    def counted(name):
+        method = getattr(ModelParams, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(trainer, "_mean_losses", scripted)
+    for name in calls:
+        monkeypatch.setattr(ModelParams, name, counted(name))
+    tc = TrainConfig(batch_size=8, max_epochs=max_epochs, patience=patience, seed=5)
+    params, hist = train(_config(small_vocab), tc, small_split, lex, small_vocab)
+    assert hist.best_epoch == best
+    assert calls == {"snapshot": snapshots, "restore": restores}
+    for p, want in zip(params.all(), seen[best + 1], strict=True):
+        assert np.array_equal(p.data, want)
+
+
 def _losses(params, records, config, vocab, lex, batch_size: int = 8) -> tuple[float, float, float]:
     """(L_lm, L_emo, L_total) of ``params`` averaged over ``records``, as ``train`` measures validation."""
     return _mean_losses(params, _prepare(records, vocab, lex, config), config, batch_size)
