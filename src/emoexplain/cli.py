@@ -151,61 +151,29 @@ def _config_text(resolved: dict) -> str:
     return "".join(f"{key}={resolved[key]}\n" for key in sorted(resolved) if resolved[key] is not None)
 
 
-def _held(lock: Path) -> bool:
-    """Whether the process whose pid ``lock`` holds may still be running; a lock without a pid counts as held."""
-    try:
-        pid = int(lock.read_text(encoding="ascii"))
-        if pid > 0:
-            os.kill(pid, 0)
-    except (ProcessLookupError, OverflowError):  # no such process, or no pid could name one
-        return False
-    except (OSError, ValueError):  # another user's process, or a lock being written or removed
-        pass
-    return True
-
-
 @contextmanager
 def output_lock(out_dir: Path):
-    """Hold ``out_dir/.lock``, which names this process, for the block; a lock left by a dead process is taken over.
+    """Hold an exclusive ``flock`` on ``out_dir/.lock`` for the block, and remove the file after it.
 
-    The holder also holds an exclusive ``flock`` on the lock's descriptor.  A run takes a dead lock over
-    by that ``flock``, then checks that the path still names the locked file and rewrites its pid in
-    place, so of two runs that find the same dead lock only one proceeds.
+    The kernel drops a ``flock`` when its holder exits, however it exits, so a lock file that no run
+    holds never blocks. A run that locked a file its holder removed meanwhile opens the new one.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
-    locked = ValueError(f"output directory {out_dir} is locked by another run (remove {lock} if no run uses it)")
     while True:
-        try:
-            handle = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_RDWR)
-            fcntl.flock(handle, fcntl.LOCK_EX)  # waits only while a run that opened this new file reads its pid
-            break
-        except FileExistsError:
-            pass
-        if _held(lock):
-            raise locked
-        try:
-            handle = os.open(lock, os.O_RDWR)
-        except FileNotFoundError:  # its holder finished meanwhile
-            continue
+        handle = os.open(lock, os.O_CREAT | os.O_RDWR)
         try:
             fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:  # another run holds it, or is taking it over
+        except BlockingIOError:
             os.close(handle)
-            raise locked from None
+            raise ValueError(f"output directory {out_dir} is locked by another run") from None
         try:
-            current = os.stat(lock).st_ino == os.fstat(handle).st_ino
+            if os.path.samestat(os.stat(lock), os.fstat(handle)):
+                break
         except FileNotFoundError:
-            current = False
-        if current and not _held(lock):
-            break
-        os.close(handle)
-        if current:  # a new run's lock, opened before it held the flock
-            raise locked
-        # Released and removed, or replaced, since it was opened: start again.
+            pass
+        os.close(handle)  # its holder removed it after this run opened it: start again
     try:
-        os.ftruncate(handle, 0)
-        os.write(handle, str(os.getpid()).encode("ascii"))
         yield
     finally:
         lock.unlink(missing_ok=True)
@@ -326,7 +294,7 @@ def _load_generated(path: Path) -> list[dict]:
             row = json.loads(line)
         except (ValueError, RecursionError) as err:  # also over-long integers and deep nesting
             raise ValueError(f"{path}: line {lineno}: invalid JSON ({getattr(err, 'msg', err)})") from None
-        if not isinstance(row, dict) or not isinstance(row.get("explanation", ""), str):
+        if not isinstance(row, dict) or not isinstance(row.get("explanation"), str):
             raise ValueError(f"{path}: line {lineno}: expected an object with a string \"explanation\"")
         rows.append(row)
     if not rows:
@@ -346,7 +314,7 @@ def _aligned_explanations(path: Path, references: tuple[Record, ...]) -> list[st
             raise ValueError(
                 f"{path}: generated row for ({row.get('user')!r}, {row.get('item')!r}) "
                 f"does not align with test record ({rec.user!r}, {rec.item!r})")
-    return [row.get("explanation", "") for row in generated]
+    return [row["explanation"] for row in generated]
 
 
 # ---------------------------------------------------------------------------

@@ -487,7 +487,7 @@ def backward(loss: Tensor) -> None:
             node.grad = None
 
 
-def sgd_step(params: list[Parameter], learning_rate: float, clip_threshold: float | None = 1.0) -> float:
+def sgd_step(params: list[Parameter], learning_rate: float, clip_threshold: float = 1.0) -> float:
     """Global-norm clipping followed by a plain SGD update; gradients are zeroed.
 
     Returns the pre-clip gradient norm.
@@ -502,7 +502,7 @@ def sgd_step(params: list[Parameter], learning_rate: float, clip_threshold: floa
                 raise FloatingPointError(f"non-finite gradient in parameter {p.name!r}")
     norm = math.sqrt(total)
     scale = 1.0
-    if clip_threshold is not None and norm > clip_threshold:
+    if norm > clip_threshold:
         scale = clip_threshold / norm
     for p in params:
         p.grad *= learning_rate * scale
@@ -593,6 +593,8 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
                 name = read_exact(name_len, "name").decode("utf-8")
             except UnicodeDecodeError:
                 raise ValueError(f"{path}: name of parameter {len(out)} is not valid UTF-8") from None
+            if name in out:
+                raise ValueError(f"{path}: parameter {name!r} is stored twice")
             (rank,) = struct.unpack("<I", read_exact(4, f"rank of {name}"))
             shape = tuple(struct.unpack("<Q", read_exact(8, f"extent of {name}"))[0] for _ in range(rank))
             raw = read_exact(8 * math.prod(shape), f"values of {name}")

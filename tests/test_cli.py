@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import shutil
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from emoexplain import cli
+from emoexplain import numerics as nm
 from emoexplain.cli import main
 from emoexplain.corpus import generate_synthetic_corpus, load_records, save_records, tokenize
 from emoexplain.fixtures import pool_corpus_spec
@@ -200,77 +202,108 @@ def test_config_file_flags_precedence(tmp_path, corpus_file):
     assert "vocab_cap=17" in text  # file wins over defaults
 
 
-def test_lock_file_blocks_concurrent_writers(tmp_path, corpus_file):
+def _prepare(corpus_file: Path, out: Path) -> int:
+    return main(["prepare", "--records", str(corpus_file), "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(out)])
+
+
+def _is_locked(lock: Path) -> bool:
+    """Whether some open file description holds an exclusive ``flock`` on ``lock``."""
+    probe = os.open(lock, os.O_RDWR)
+    try:
+        fcntl.flock(probe, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return False
+    except BlockingIOError:
+        return True
+    finally:
+        os.close(probe)
+
+
+def test_lock_file_blocks_concurrent_writers(tmp_path, corpus_file, capsys):
+    """While another open file description holds the lock, a run exits 2 and writes nothing."""
     out = tmp_path / "out"
     out.mkdir()
-    (out / ".lock").touch()
-    code = main([
-        "prepare", "--records", str(corpus_file), "--lexicon", str(FIXTURE_LEXICON_PATH),
-        "--out", str(out),
-    ])
-    assert code == 2
+    holder = os.open(out / ".lock", os.O_CREAT | os.O_RDWR)
+    try:
+        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert _prepare(corpus_file, out) == 2
+        assert f"output directory {out} is locked by another run" in capsys.readouterr().err
+        assert [entry.name for entry in out.iterdir()] == [".lock"]
+    finally:
+        os.close(holder)
+    assert _prepare(corpus_file, out) == 0
+    assert not (out / ".lock").exists()
 
 
-def test_lock_file_names_the_running_process(tmp_path):
-    from emoexplain.cli import output_lock
-
-    with output_lock(tmp_path / "out"):
-        assert (tmp_path / "out" / ".lock").read_text() == str(os.getpid())
-    assert not (tmp_path / "out" / ".lock").exists()
-
-
-def _dead_pid() -> int:
-    proc = subprocess.Popen([sys.executable, "-c", ""])
-    proc.wait(timeout=60)
-    return proc.pid
+def test_lock_file_is_gone_after_every_block(tmp_path):
+    out = tmp_path / "out"
+    with cli.output_lock(out):
+        assert _is_locked(out / ".lock")
+    assert not (out / ".lock").exists()
+    with pytest.raises(RuntimeError, match="the block failed"):
+        with cli.output_lock(out):
+            raise RuntimeError("the block failed")
+    assert not (out / ".lock").exists()
 
 
-@pytest.mark.parametrize("holder,code", [(_dead_pid, 0), (os.getpid, 2)])
-def test_lock_of_a_dead_process_is_reclaimed_and_a_live_one_refused(tmp_path, corpus_file, holder, code):
+def test_a_killed_run_leaves_a_lock_that_never_blocks(tmp_path, corpus_file):
+    out = tmp_path / "out"
+    holder = ("import sys, time\nfrom pathlib import Path\nfrom emoexplain.cli import output_lock\n"
+              "with output_lock(Path(sys.argv[1])):\n    print('held', flush=True)\n    time.sleep(600)\n")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen([sys.executable, "-c", holder, str(out)], stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        assert proc.stdout.readline() == "held\n"
+        assert _prepare(corpus_file, out) == 2
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+        proc.stdout.close()
+    assert (out / ".lock").exists()  # the kill left the file; the kernel dropped the lock
+    assert _prepare(corpus_file, out) == 0
+    assert not (out / ".lock").exists()
+
+
+@pytest.mark.parametrize("content", ["", str(os.getpid())], ids=["empty", "live-pid"])
+def test_a_lock_file_that_no_run_holds_never_blocks(tmp_path, corpus_file, content):
+    """Whatever a lock file holds, even the pid of a live process, only a held ``flock`` blocks."""
     out = tmp_path / "out"
     out.mkdir()
-    pid = str(holder())
-    (out / ".lock").write_text(pid)
-    assert main([
-        "prepare", "--records", str(corpus_file), "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(out),
-    ]) == code
-    if code == 0:
-        assert not (out / ".lock").exists()
-    else:
-        assert (out / ".lock").read_text() == pid
-        assert not (out / "train.jsonl").exists()
+    (out / ".lock").write_text(content)
+    assert _prepare(corpus_file, out) == 0
+    assert not (out / ".lock").exists()
 
 
 @pytest.mark.parametrize("first_run_finishes", [False, True])
 def test_two_runs_that_find_the_same_dead_lock_never_both_hold_it(tmp_path, monkeypatch, first_run_finishes):
-    """Run B judges the dead lock, then run A takes it over before B acts: B is refused while A holds
-    the lock, and takes a fresh one once A has finished."""
-    from emoexplain import cli
-
+    """Run B opens a lock file that no run holds, then run A takes it, and maybe finishes, before B locks
+    it: B is refused while A holds the lock, and locks the file it creates anew once A has finished."""
     out = tmp_path / "out"
     out.mkdir()
-    (out / ".lock").write_text(str(_dead_pid()))
-    held = cli._held
+    (out / ".lock").touch()
+    flock = fcntl.flock
     first = cli.output_lock(out)
+    calls = []
 
-    def interleaved(lock):
-        verdict = held(lock)
-        if cli._held is interleaved:  # only B's first look; A's own looks go straight through
-            monkeypatch.setattr(cli, "_held", held)
+    def interleaved(fd, operation):
+        calls.append(fd)
+        if len(calls) == 1:  # B has opened the file; A runs before B's flock
             first.__enter__()
             if first_run_finishes:
                 first.__exit__(None, None, None)
-        return verdict
+        return flock(fd, operation)
 
-    monkeypatch.setattr(cli, "_held", interleaved)
+    monkeypatch.setattr(fcntl, "flock", interleaved)
     if first_run_finishes:
         with cli.output_lock(out):
-            assert (out / ".lock").read_text() == str(os.getpid())
+            assert len(calls) == 3  # B's first flock, A's, and B's on the new file
+            assert _is_locked(out / ".lock")
+        assert not (out / ".lock").exists()
     else:
         with pytest.raises(ValueError, match="is locked by another run"):
             with cli.output_lock(out):
                 pass
-        assert (out / ".lock").read_text() == str(os.getpid())  # A's lock is still in place
+        assert _is_locked(out / ".lock")  # A's lock is still in place
         first.__exit__(None, None, None)
     assert not (out / ".lock").exists()
 
@@ -434,6 +467,18 @@ def test_generate_refuses_a_checkpoint_with_more_layers_than_its_config(tmp_path
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_generate_refuses_a_checkpoint_that_stores_a_parameter_twice(tmp_path, prepared_dir, trained_dir, capsys):
+    checkpoint = _checkpoint_copy(trained_dir, tmp_path / "ckpt")
+    params = [nm.Parameter(array, name) for name, array in nm.load_checkpoint(checkpoint).items()]
+    nm.save_checkpoint(checkpoint, [*params, params[0]])
+    out = tmp_path / "gen"
+    assert main(["generate", "--data", str(prepared_dir), "--checkpoint", str(checkpoint),
+                 "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{checkpoint}: parameter {params[0].name!r} is stored twice" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_generate_refuses_a_non_finite_float_in_the_checkpoint_config(tmp_path, prepared_dir, trained_dir, capsys):
     checkpoint = _checkpoint_copy(trained_dir, tmp_path / "ckpt")
     config_path = tmp_path / "ckpt" / "config.txt"
@@ -592,6 +637,25 @@ def test_malformed_generated_row_exits_2(tmp_path, prepared_dir, generated_dir, 
     ])
     assert code == 2
     assert f"{broken}: line 2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,option", [("evaluate", "--generated"), ("audit", "--generated"),
+                                            ("audit", "--baseline")])
+def test_generated_row_without_explanation_exits_2(tmp_path, prepared_dir, generated_dir, capsys, command, option):
+    generated = generated_dir / "generated.jsonl"
+    rows = [json.loads(line) for line in generated.read_text().splitlines()]
+    del rows[1]["explanation"]
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    files = {"--generated": generated, **({"--baseline": generated} if command == "audit" else {}), option: broken}
+    out = tmp_path / "out"
+    code = main([
+        command, "--data", str(prepared_dir), *(str(a) for kv in files.items() for a in kv),
+        "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(out), "--seed", "23",
+    ])
+    assert code == 2
+    assert f"{broken}: line 2:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("reversed_option", ["--generated", "--baseline"])

@@ -441,7 +441,8 @@ def test_sgd_update_is_bitwise_the_reference_formula(grad_scale, clip):
     params = _three_parameters(seed=3, grad_scale=grad_scale)
     with np.errstate(over="ignore"):  # squares of 1e200 overflow; the norm is then inf and the step 0
         norm, expected = _reference_sgd_step(params, 0.7, clip)
-        assert nm.sgd_step(params, learning_rate=0.7, clip_threshold=clip) == norm
+        # An infinite threshold never clips: the same bits as the unclipped formula.
+        assert nm.sgd_step(params, learning_rate=0.7, clip_threshold=math.inf if clip is None else clip) == norm
     for p, want in zip(params, expected):
         assert np.array_equal(p.data, want)
         assert not p.grad.any()
@@ -695,6 +696,15 @@ def test_checkpoint_rejects_hostile_extents(tmp_path, shape):
 def test_checkpoint_rejects_non_utf8_name(tmp_path):
     path = _crafted_checkpoint(tmp_path / "hostile.emot", b"\xff\xfe", (2,))
     with pytest.raises(ValueError, match="not valid UTF-8") as err:
+        nm.load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_rejects_a_parameter_stored_twice(tmp_path):
+    path = tmp_path / "twice.emot"
+    nm.save_checkpoint(path, [Parameter(np.ones(2), "weights"), Parameter(np.ones(3), "bias"),
+                              Parameter(np.zeros(2), "weights")])
+    with pytest.raises(ValueError, match="parameter 'weights' is stored twice") as err:
         nm.load_checkpoint(path)
     assert str(path) in str(err.value)
 
