@@ -28,9 +28,9 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from emoexplain import numerics as nm
-from emoexplain.corpus import assign_emotion_tags, build_vocabulary, generate_synthetic_corpus, split_dataset
+from emoexplain.corpus import build_vocabulary, generate_synthetic_corpus, split_dataset
 from emoexplain.fixtures import fixture_lexicon, pool_corpus_spec
-from emoexplain.generator import GenerationQuery, batch_generate
+from emoexplain.generator import GenerationQuery, batch_generate, record_queries
 from emoexplain.metrics import emotion_audit
 from emoexplain.model import config_for_vocab
 from emoexplain.trainer import TrainConfig, train
@@ -68,7 +68,6 @@ def audit_l1(job: tuple) -> float:
     records = generate_synthetic_corpus(pool_corpus_spec(*CORPUS, SKEW), seed=seed)
     split = split_dataset(records, seed=seed)
     vocab = build_vocabulary(list(split.train))
-    test = assign_emotion_tags(list(split.test), lex)
     config = config_for_vocab(vocab, embed_dim=embed_dim, ffn_dim=ffn_dim, c2=c2, mask_emotion_tag=mask)
     tc = TrainConfig(batch_size=16, learning_rate=lr, clip=1.0, max_epochs=epochs, patience=epochs, seed=seed)
     nm._accumulate_product = per_slice_product if order == "per_slice" else _flat_product
@@ -76,9 +75,8 @@ def audit_l1(job: tuple) -> float:
         params, _ = train(config, tc, split, lex, vocab)
     finally:
         nm._accumulate_product = _flat_product
-    results = batch_generate(params, config, vocab, lex,
-                             [GenerationQuery(r.user, r.item, r.features, r.emotion) for r in test])
-    return emotion_audit([r.explanation for r in test], [" ".join(r.tokens) for r in results], lex).l1_distance
+    results = batch_generate(params, config, vocab, lex, record_queries(split.test, lex, GenerationQuery.max_tokens))
+    return emotion_audit([r.explanation for r in split.test], [" ".join(r.tokens) for r in results], lex).l1_distance
 
 
 def _summary(on: list[float], off: list[float]) -> dict:

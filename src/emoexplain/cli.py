@@ -38,12 +38,13 @@ from .corpus import (
     tokenize,
 )
 from .fixtures import fixture_lexicon
-from .generator import GenerationQuery, batch_generate
+from .generator import GenerationQuery, batch_generate, record_queries
 from .lexicon import CATEGORIES, Lexicon, load_lexicon, text_lines
 from .metrics import (
     REPORT_COLUMNS,
     REPORT_KEYS,
     EvaluationPair,
+    EvaluationReport,
     audit_table,
     audit_to_dict,
     build_report,
@@ -122,8 +123,8 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def resolve_config(args: argparse.Namespace, command_defaults: dict | None = None) -> dict:
-    """Resolve base defaults < profile < ``command_defaults`` < ``--config`` file < flags."""
+def resolve_config(args: argparse.Namespace, command_defaults: dict | None = None, source: str = "") -> dict:
+    """Resolve base defaults < profile < ``command_defaults`` (read from ``source``) < ``--config`` file < flags."""
     flags = {
         key: value
         for key, value in vars(args).items()
@@ -141,7 +142,8 @@ def resolve_config(args: argparse.Namespace, command_defaults: dict | None = Non
     resolved["profile"] = profile
     for key, low in LOWER_BOUNDS.items():
         if resolved[key] < low:
-            where = f"--{key.replace('_', '-')}" if key in flags else f"{args.config}: {key}"
+            where = (f"--{key.replace('_', '-')}" if key in flags
+                     else f"{args.config if key in file_values else source}: {key}")
             kind = "non-negative" if low == 0 else "positive"
             raise ValueError(f"{where} must be a {kind} integer, got {resolved[key]}")
     return resolved
@@ -285,7 +287,8 @@ def _train_config(resolved: dict) -> TrainConfig:
     return TrainConfig(**{key: resolved[key] for key in TRAIN_KEYS})
 
 
-def _load_generated(path: Path) -> list[dict]:
+def _aligned_explanations(path: Path, references: tuple[Record, ...]) -> list[str]:
+    """The explanations in a generated file whose rows match the test split's (user, item) one by one."""
     rows = []
     for lineno, line in text_lines(path):
         if not line.strip():
@@ -296,25 +299,36 @@ def _load_generated(path: Path) -> list[dict]:
             raise ValueError(f"{path}: line {lineno}: invalid JSON ({getattr(err, 'msg', err)})") from None
         if not isinstance(row, dict) or not isinstance(row.get("explanation"), str):
             raise ValueError(f"{path}: line {lineno}: expected an object with a string \"explanation\"")
-        rows.append(row)
+        rows.append((lineno, row))
     if not rows:
         raise ValueError(f"{path}: no generated explanations found")
-    return rows
-
-
-def _aligned_explanations(path: Path, references: tuple[Record, ...]) -> list[str]:
-    """The explanations in a generated file whose rows match the test split's (user, item) one by one."""
-    generated = _load_generated(path)
-    if len(generated) != len(references):
-        raise ValueError(f"{path}: {len(generated)} generated explanations vs {len(references)} test records")
-    for row, rec in zip(generated, references):
+    if len(rows) != len(references):
+        raise ValueError(f"{path}: {len(rows)} generated explanations vs {len(references)} test records")
+    for (lineno, row), rec in zip(rows, references):
         # Read as records read theirs: a present value as its str(), so 5 aligns with "5".
         ids = tuple(str(row[key]) if key in row else None for key in ("user", "item"))
         if ids != (rec.user, rec.item):
             raise ValueError(
-                f"{path}: generated row for ({row.get('user')!r}, {row.get('item')!r}) "
+                f"{path}: line {lineno}: generated row for ({row.get('user')!r}, {row.get('item')!r}) "
                 f"does not align with test record ({rec.user!r}, {rec.item!r})")
-    return [row["explanation"] for row in generated]
+    return [row["explanation"] for _, row in rows]
+
+
+def _score(data_dir: Path, test: tuple[Record, ...], texts: list[str], lex: Lexicon | None) -> EvaluationReport:
+    """The report on ``texts`` against the test records; an unmet metric precondition names ``test.jsonl``."""
+    pairs = [EvaluationPair.from_texts(rec.explanation, text, rec.features) for rec, text in zip(test, texts)]
+    try:
+        return build_report(pairs, lex)
+    except ValueError as err:  # the metrics' preconditions are on the test records, e.g. features to match
+        raise ValueError(f"{data_dir / 'test.jsonl'}: {err}") from None
+
+
+def _write_report(resolved: dict, stem: str, payload: dict, table: str) -> None:
+    """Commit ``payload`` as ``stem.json`` and ``table`` as ``stem.txt`` to ``--out``, then print the table."""
+    with _outputs(Path(resolved["out"]), resolved, (rf"{stem}\.json", rf"{stem}\.txt")) as stage:
+        _write_json(stage(f"{stem}.json"), payload)
+        _write_text(stage(f"{stem}.txt"), table)
+    print(table, end="")
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +389,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     data_dir = Path(resolved["data"])
     out_dir = Path(resolved["out"])
     lex = load_lexicon(resolved["lexicon"])
-    base_split = DatasetSplit(*_load_split_dir(data_dir, *SPLITS), seed=resolved["seed"])
+    base_split = DatasetSplit(*_load_split_dir(data_dir, *SPLITS))
     n_repeats = resolved["splits"]
     # One run trains with the prepared vocabulary; each of several splits builds its own.
     vocab = _load_vocab(data_dir / "vocab.json") if n_repeats <= 1 else None
@@ -412,19 +426,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
     _require(resolved, "checkpoint", "data", "lexicon", "out")
     checkpoint = Path(resolved["checkpoint"])
-    data_dir = Path(resolved["data"])
-    out_dir = Path(resolved["out"])
     lex = load_lexicon(resolved["lexicon"])
-
-    # The checkpoint's config.txt ranks above the profile and below the --config file and flags.
+    # The model keys of the checkpoint's config.txt rank above the profile and below the --config file and flags.
     config_path = _beside_checkpoint(checkpoint, "config.txt")
     stored = _read_config_file(str(config_path))
-    given = set(_read_config_file(args.config)) if args.config else set()
-    given.update(key for key in MODEL_KEYS if getattr(args, key, None) is not None)
-    for key in MODEL_KEYS:
-        if key in stored and key not in given:
-            resolved[key] = stored[key]
-
+    resolved = resolve_config(args, {key: stored[key] for key in MODEL_KEYS if key in stored}, str(config_path))
+    out_dir = Path(resolved["out"])
     vocab_path = _beside_checkpoint(checkpoint, "vocab.json")
     vocab = _load_vocab(vocab_path)
     state = nm.load_checkpoint(checkpoint)
@@ -435,16 +442,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         sources = f"{args.config}, {config_path}" if args.config else config_path
         raise ValueError(f"{checkpoint}: {err} (model built from {sources} and {vocab_path})") from None
 
-    (test,) = _load_split_dir(data_dir, "test")
-    tagged = assign_emotion_tags(list(test), lex)
-    queries = [
-        GenerationQuery(
-            user=rec.user, item=rec.item, features=rec.features,
-            emotion=resolved.get("emotion") or rec.emotion,
-            max_tokens=resolved["max_tokens"],
-        )
-        for rec in tagged
-    ]
+    (test,) = _load_split_dir(Path(resolved["data"]), "test")
+    queries = record_queries(test, lex, resolved["max_tokens"], resolved.get("emotion"))
     results = batch_generate(params, config, vocab, lex, queries)
     done = [r for r in results if r.tokens is not None]
     failures = len(results) - len(done)
@@ -474,32 +473,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
     _require(resolved, "generated", "data", "out")
     data_dir = Path(resolved["data"])
-    out_dir = Path(resolved["out"])
     (test,) = _load_split_dir(data_dir, "test")
     texts = _aligned_explanations(Path(resolved["generated"]), test)
-    pairs = [EvaluationPair.from_texts(rec.explanation, text, rec.features)
-             for rec, text in zip(test, texts)]
     lex = load_lexicon(resolved["lexicon"]) if resolved.get("lexicon") else None
-    try:
-        report = build_report(pairs, lex)
-    except ValueError as err:  # the metrics' preconditions are on the test records, e.g. features to match
-        raise ValueError(f"{data_dir / 'test.jsonl'}: {err}") from None
-
-    table = report_table([("generated", report)])
-    with _outputs(out_dir, resolved, (r"report\.json", r"report\.txt")) as stage:
-        _write_json(stage("report.json"), report_to_dict(report))
-        _write_text(stage("report.txt"), table)
-    print(table, end="")
+    report = _score(data_dir, test, texts, lex)
+    _write_report(resolved, "report", report_to_dict(report), report_table([("generated", report)]))
     return 0
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
     _require(resolved, "generated", "data", "lexicon", "out")
-    data_dir = Path(resolved["data"])
-    out_dir = Path(resolved["out"])
     lex = load_lexicon(resolved["lexicon"])
-    (test,) = _load_split_dir(data_dir, "test")
+    (test,) = _load_split_dir(Path(resolved["data"]), "test")
     audit = emotion_audit([rec.explanation for rec in test],
                           _aligned_explanations(Path(resolved["generated"]), test), lex)
     payload = {"audit": audit_to_dict(audit)}
@@ -526,11 +512,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
 
-    table = audit_table(audit, debias_column)
-    with _outputs(out_dir, resolved, (r"audit\.json", r"audit\.txt")) as stage:
-        _write_json(stage("audit.json"), payload)
-        _write_text(stage("audit.txt"), table)
-    print(table, end="")
+    _write_report(resolved, "audit", payload, audit_table(audit, debias_column))
     return 0
 
 
@@ -538,9 +520,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
     _require(resolved, "data", "lexicon", "out")
     data_dir = Path(resolved["data"])
-    out_dir = Path(resolved["out"])
     lex = load_lexicon(resolved["lexicon"])
-    split = DatasetSplit(*_load_split_dir(data_dir, *SPLITS), seed=resolved["seed"])
+    split = DatasetSplit(*_load_split_dir(data_dir, *SPLITS))
+    # Every cell is scored against the test records: check them before any cell trains.
+    _score(data_dir, split.test, [rec.explanation for rec in split.test], lex)
     vocab = _load_vocab(data_dir / "vocab.json")
     rows = ablation_grid(
         _model_config(resolved, vocab),
@@ -552,12 +535,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     for row in rows:
         lines.append(f"{row['loss_setting']:<16}  {row['intensity']:>9.1f}  "
                      + "  ".join(f"{row[key]:7.2f}" for key in REPORT_KEYS))
-    table = "\n".join(lines) + "\n"
-
-    with _outputs(out_dir, resolved, (r"ablation\.json", r"ablation\.txt")) as stage:
-        _write_json(stage("ablation.json"), {"cells": rows})
-        _write_text(stage("ablation.txt"), table)
-    print(table, end="")
+    _write_report(resolved, "ablation", {"cells": rows}, "\n".join(lines) + "\n")
     return 0
 
 

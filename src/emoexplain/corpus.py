@@ -53,7 +53,6 @@ class DatasetSplit:
     train: tuple[Record, ...]
     valid: tuple[Record, ...]
     test: tuple[Record, ...]
-    seed: int
 
     @property
     def records(self) -> tuple[Record, ...]:
@@ -231,7 +230,6 @@ def split_dataset(records: list[Record], seed: int) -> DatasetSplit:
         train=tuple(records[i] for i in train_idx),
         valid=tuple(records[i] for i in valid_idx),
         test=tuple(records[i] for i in test_idx),
-        seed=seed,
     )
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics as nm
-from .corpus import BOS, EOS, PAD, EncodedExample, Vocabulary, prefix_ids
+from .corpus import BOS, EOS, PAD, EncodedExample, Vocabulary, assign_emotion_tags, prefix_ids
 from .lexicon import Lexicon, category_index
 from .model import (
     DecodeCache,
@@ -33,6 +33,12 @@ class GenerationQuery:
             raise ValueError("a generation query needs at least one feature")
         if self.max_tokens < 0:
             raise ValueError(f"max_tokens must be a non-negative integer, got {self.max_tokens}")
+
+
+def record_queries(records, lex: Lexicon, max_tokens: int, emotion: str | None = None) -> list[GenerationQuery]:
+    """One query per record, for ``emotion`` or else the record's tag, which the lexicon assigns where it is unset."""
+    return [GenerationQuery(rec.user, rec.item, rec.features, emotion or rec.emotion, max_tokens)
+            for rec in assign_emotion_tags(list(records), lex)]
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,6 @@ class Lexicon:
 
     table: dict[str, tuple[float, ...]] = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.table)
-
 
 def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, line) over a UTF-8 text file.

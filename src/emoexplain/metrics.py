@@ -105,12 +105,11 @@ def rouge(pairs: list[EvaluationPair], n: int) -> tuple[float, float, float]:
     return 100.0 * p_sum / count, 100.0 * r_sum / count, 100.0 * f_sum / count
 
 
-def usr(hypotheses: list) -> float:
-    """Unique sentence ratio: distinct exact strings over total."""
+def usr(hypotheses: list[tuple[str, ...]]) -> float:
+    """Unique sentence ratio: distinct token sequences over total."""
     if not hypotheses:
         raise ValueError("usr needs at least one hypothesis")
-    rendered = [" ".join(h) if not isinstance(h, str) else h for h in hypotheses]
-    return len(set(rendered)) / len(rendered)
+    return len(set(hypotheses)) / len(hypotheses)
 
 
 def fmr(pairs: list[EvaluationPair]) -> float:

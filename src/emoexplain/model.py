@@ -245,7 +245,6 @@ class DecodeCache:
         self.emotion, self.context, self.decoder = (
             [nm.KVCache(config.max_len) for _ in range(n)]
             for n in (config.encoder_layers, config.encoder_layers, config.decoder_layers))
-        self.length = 0
 
     def select(self, rows: np.ndarray) -> None:
         """Keep only the batch rows ``rows`` of every cached K/V."""
@@ -365,13 +364,10 @@ def _decoded(
     """
     emotion, context, decoder = (None, None, None) if cache is None else (
         cache.emotion, cache.context, cache.decoder)
-    start = 0 if cache is None else cache.length
+    start = 0 if cache is None else cache.decoder[0].length
     hidden_emo = encode_emotion_from_matrix(vnrc, params, config, emotion, start)
     hidden_context = encode_context(example, params, config, context, start)
-    decoded = decode(fuse(hidden_emo, hidden_context, config.intensity), params, config, decoder)
-    if cache is not None:
-        cache.length += vnrc.shape[-2]
-    return decoded
+    return decode(fuse(hidden_emo, hidden_context, config.intensity), params, config, decoder)
 
 
 def forward(

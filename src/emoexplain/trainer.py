@@ -173,10 +173,10 @@ def ablation_grid(
     standalone run bit for bit.  Each row carries the full metrics report plus
     the emotion-audit L1 distance.
     """
-    from .generator import GenerationQuery, batch_generate
+    from .generator import batch_generate, record_queries
     from .metrics import EvaluationPair, build_report, report_to_dict
 
-    tagged_test = assign_emotion_tags(list(splits.test), lex)
+    queries = record_queries(splits.test, lex, max_tokens)
     rows = []
     for setting in ABLATION_LOSS_SETTINGS:
         c1 = 0.0 if setting == "disable_lm" else model_config.c1
@@ -184,13 +184,9 @@ def ablation_grid(
         for intensity in ABLATION_INTENSITIES:
             cell_config = replace(model_config, c1=c1, c2=c2, intensity=intensity)
             params, _ = train(cell_config, train_config, splits, lex, vocab)
-            results = batch_generate(params, cell_config, vocab, lex, [
-                GenerationQuery(user=rec.user, item=rec.item, features=rec.features,
-                                emotion=rec.emotion, max_tokens=max_tokens)
-                for rec in tagged_test
-            ])
+            results = batch_generate(params, cell_config, vocab, lex, queries)
             pairs = []
-            for rec, result in zip(tagged_test, results):
+            for rec, result in zip(splits.test, results):
                 if result.error is not None:
                     raise ValueError(result.error)
                 pairs.append(EvaluationPair.from_texts(rec.explanation, " ".join(result.tokens), rec.features))

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -425,7 +426,8 @@ def test_non_finite_float_exits_2_naming_the_field(tmp_path, prepared_dir, train
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_generate_config_file_ranks_above_the_checkpoint_config(tmp_path, prepared_dir, trained_dir, monkeypatch):
+def _generate_c2(tmp_path, prepared_dir, trained_dir, monkeypatch, config_text: str, *flags: str) -> list[float]:
+    """The c2 of each model ``generate`` decodes with, given a ``--config`` file and ``flags``."""
     assert "c2=1.0\n" in (trained_dir / "config.txt").read_text(encoding="utf-8")
     used, real = [], cli.batch_generate
 
@@ -435,12 +437,20 @@ def test_generate_config_file_ranks_above_the_checkpoint_config(tmp_path, prepar
 
     monkeypatch.setattr(cli, "batch_generate", recording)
     cfg = tmp_path / "g.cfg"
-    cfg.write_text("c2=0.5\nmax_tokens=3\n", encoding="utf-8")
+    cfg.write_text(config_text, encoding="utf-8")
     out = tmp_path / "gen"
     assert main(["generate", "--data", str(prepared_dir), "--checkpoint", str(trained_dir / "model.emot"),
-                 "--lexicon", str(FIXTURE_LEXICON_PATH), "--config", str(cfg), "--out", str(out)]) == 0
-    assert used == [0.5]
+                 "--lexicon", str(FIXTURE_LEXICON_PATH), "--config", str(cfg), *flags, "--out", str(out)]) == 0
     assert "c2=0.5\n" in (out / "config.txt").read_text(encoding="utf-8")
+    return used
+
+
+def test_generate_config_file_ranks_above_the_checkpoint_config(tmp_path, prepared_dir, trained_dir, monkeypatch):
+    assert _generate_c2(tmp_path, prepared_dir, trained_dir, monkeypatch, "c2=0.5\nmax_tokens=3\n") == [0.5]
+
+
+def test_generate_flag_ranks_above_the_checkpoint_config(tmp_path, prepared_dir, trained_dir, monkeypatch):
+    assert _generate_c2(tmp_path, prepared_dir, trained_dir, monkeypatch, "max_tokens=3\n", "--c2", "0.5") == [0.5]
 
 
 def test_generate_names_the_config_file_of_a_non_finite_model_key(tmp_path, prepared_dir, trained_dir, capsys):
@@ -492,6 +502,33 @@ def test_generate_refuses_a_non_finite_float_in_the_checkpoint_config(tmp_path, 
     assert code == 2
     err = capsys.readouterr().err
     assert "c2 must be a finite non-negative number, got inf" in err and str(config_path) in err
+
+
+def test_generate_bounds_the_checkpoint_config_naming_it(tmp_path, prepared_dir, trained_dir, capsys):
+    checkpoint = _checkpoint_copy(trained_dir, tmp_path / "ckpt")
+    config_path = tmp_path / "ckpt" / "config.txt"
+    lines = config_path.read_text(encoding="utf-8").splitlines()
+    config_path.write_text("".join(("embed_dim=0" if line.startswith("embed_dim=") else line) + "\n"
+                                   for line in lines), encoding="utf-8")
+    out = tmp_path / "gen"
+    assert main(["generate", "--data", str(prepared_dir), "--checkpoint", str(checkpoint),
+                 "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(out)]) == 2
+    assert f"error: {config_path}: embed_dim must be a positive integer, got 0\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablate_checks_the_test_split_before_training(tmp_path, prepared_dir, monkeypatch, capsys):
+    from emoexplain import trainer
+
+    data = shutil.copytree(prepared_dir, tmp_path / "data")
+    records = load_records(data / "test.jsonl")
+    save_records(data / "test.jsonl", [replace(records[0], features=("   ",)), *records[1:]])
+    calls = []
+    monkeypatch.setattr(trainer, "train", lambda *args: calls.append(args))
+    assert main(["ablate", "--data", str(data), "--lexicon", str(FIXTURE_LEXICON_PATH),
+                 "--out", str(tmp_path / "out"), *SMALL_MODEL]) == 2
+    assert f"{data / 'test.jsonl'}: fmr requires every pair to carry at least one feature" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_vocab_without_tokens_exits_2_naming_path(tmp_path, prepared_dir, trained_dir, capsys):
@@ -671,7 +708,7 @@ def test_audit_reversed_file_exits_2(tmp_path, prepared_dir, generated_dir, caps
         "--lexicon", str(FIXTURE_LEXICON_PATH), "--out", str(tmp_path / "audit"), "--seed", "23",
     ])
     assert code == 2
-    assert f"{reversed_file}: generated row for" in capsys.readouterr().err
+    assert f"{reversed_file}: line 1: generated row for" in capsys.readouterr().err
 
 
 def test_generate_writes_stop_reason_counts(generated_dir, prepared_dir, trained_dir):

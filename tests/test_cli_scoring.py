@@ -169,7 +169,18 @@ def test_generated_id_mismatch_exits_2_naming_both_values(pipeline, tmp_path, co
     code, err = _main([command, "--data", data, "--generated", generated, "--lexicon", FIXTURE_LEXICON_PATH,
                        "--out", tmp_path / "out"])
     assert code == 2
-    assert f"{generated}: generated row for (3, 999) does not align with test record ('3', '103')" in err
+    assert f"{generated}: line 4: generated row for (3, 999) does not align with test record ('3', '103')" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "audit"])
+def test_generated_id_mismatch_counts_the_blank_lines_before_it(pipeline, tmp_path, command):
+    data, generated, _ = _renumbered(pipeline, tmp_path, bad_row=3)
+    lines = generated.read_text(encoding="utf-8").splitlines(keepends=True)
+    generated.write_text("".join([*lines[:3], "\n", *lines[3:]]), encoding="utf-8")
+    code, err = _main([command, "--data", data, "--generated", generated, "--lexicon", FIXTURE_LEXICON_PATH,
+                       "--out", tmp_path / "out"])
+    assert code == 2
+    assert f"{generated}: line 5: generated row for (3, 999) does not align with test record ('3', '103')" in err
 
 
 def test_audit_with_baseline_classifies_each_explanation_once(pipeline, tmp_path, monkeypatch):

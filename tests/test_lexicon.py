@@ -71,7 +71,7 @@ def test_load_empty_file_gives_total_neutral_lookups(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("", encoding="utf-8")
     lex = load_lexicon(path)
-    assert len(lex) == 0
+    assert lex.table == {}
     assert word_emotion(lex, "anything") == NEUTRAL_VECTOR
 
 
