@@ -6,12 +6,12 @@ seed, a desk model is trained on acceptance-7's synthetic corpus with the
 emotion loss (c2 = 1) and without it (c2 = 0); each decodes the test split
 with ``batch_generate``, and the audit compares the generated emotion
 distribution with the ground truth's.  Every run is repeated under two
-summation orders of each weight gradient that ``numerics.matmul`` and
-``numerics.attention`` take over a stack, all of them made by
-``numerics._accumulate_product``: the library's one flattened GEMM ("flat")
-and the sum of one GEMM per slice ("per_slice"), which this script patches
-in.  The gap between the two orders is how much of a
-result is rounding.
+summation orders of each weight gradient that ``numerics.matmul``,
+``numerics.attention`` and ``numerics.ffn`` take over a stack, all of them
+made by ``numerics._accumulate_product`` from the (B, L, .) stacks: the
+library's one flattened GEMM ("flat") and the sum of one GEMM per slice
+("per_slice"), which this script patches in.  The gap between the two orders
+is how much of a result is rounding.
 
 The setting acceptance-7 asserts on is chosen by SELECTION_RULE, fixed before
 any run and written into the output.

@@ -262,9 +262,7 @@ def _encoder_stack(x: Tensor, layers: list[LayerParams], n_heads: int, cache: St
     for i, lp in enumerate(layers):
         att = nm.attention(x, lp.wq, lp.wk, lp.wv, lp.wo, lp.bo, n_heads, None if cache is None else cache[i])
         x = nm.layer_norm(x, lp.ln1_gamma, lp.ln1_beta, residual=att)
-        h = nm.relu(nm.matmul(x, lp.ffn_w1, bias=lp.ffn_b1))
-        h = nm.matmul(h, lp.ffn_w2, bias=lp.ffn_b2)
-        x = nm.layer_norm(x, lp.ln2_gamma, lp.ln2_beta, residual=h)
+        x = nm.ffn(x, lp.ffn_w1, lp.ffn_b1, lp.ffn_w2, lp.ffn_b2, lp.ln2_gamma, lp.ln2_beta)
     return x
 
 

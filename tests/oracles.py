@@ -6,10 +6,12 @@ agree by computing the same quantity.  ``generate_oracle`` is greedy decoding
 without a cache: every step runs ``model.forward`` over all max_len positions.
 ``biased_matmul_oracle`` and ``residual_layer_norm_oracle`` are the unfused
 compositions that ``matmul``'s ``bias`` and ``layer_norm``'s ``residual`` fold
-into one op each, and ``attention_oracle`` is the five ops (three products,
+into one op each, ``attention_oracle`` is the five ops (three products,
 ``scaled_dot_product_oracle`` of q, k and v, the biased output projection)
-that ``attention`` fuses.  ``clipped_overlap_oracle``, ``classify_oracle`` and
-``emotion_input_oracle`` are the earlier formulas that ``EvaluationPair.overlap``,
+that ``attention`` fuses, and ``ffn_oracle`` is the four (two biased products
+around a ReLU, then the residual layer norm) that ``ffn`` fuses.
+``clipped_overlap_oracle``, ``classify_oracle`` and ``emotion_input_oracle``
+are the earlier formulas that ``EvaluationPair.overlap``,
 ``classify_explanation`` and ``emotion_input_matrix`` must reproduce bit for bit.
 """
 
@@ -222,6 +224,13 @@ def attention_oracle(x, wq, wk, wv, wo, bo, n_heads, cache=None):
             k, v = (nm.concat([held, new], axis=-2) for held, new in zip(cache, (k, v)))
         cache[:] = [nm.Tensor(k.data), nm.Tensor(v.data)]
     return nm.matmul(scaled_dot_product_oracle(q, k, v, n_heads), wo, bias=bo)
+
+
+def ffn_oracle(x, w1, b1, w2, b2, gamma, beta):
+    """``ffn(x, w1, b1, w2, b2, gamma, beta)`` as four ops: ``matmul`` with ``b1``, ``relu``, ``matmul`` with ``b2``,
+    then ``layer_norm`` with the product as the residual of ``x``."""
+    h = nm.relu(nm.matmul(x, w1, bias=b1))
+    return nm.layer_norm(x, gamma, beta, residual=nm.matmul(h, w2, bias=b2))
 
 
 def clipped_overlap_oracle(hyp, ref, n):

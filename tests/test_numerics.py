@@ -533,6 +533,45 @@ def test_attention_is_bitwise_its_unfused_composition(shape):
                       weights, rng)
 
 
+def _ffn_weights(rng, dim: int, hidden: int) -> list[Parameter]:
+    """w1, b1, w2, b2, gamma and beta of one FFN sublayer, the products scaled as Glorot draws are."""
+    return [Parameter(rng.normal(size=(dim, hidden)) / math.sqrt(dim), "w1"), Parameter(rng.normal(size=hidden), "b1"),
+            Parameter(rng.normal(size=(hidden, dim)) / math.sqrt(hidden), "w2"), Parameter(rng.normal(size=dim), "b2"),
+            Parameter(rng.normal(size=dim), "gamma"), Parameter(rng.normal(size=dim), "beta")]
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (3, 5, 6), (16, 14, 64), (3, 1, 8)])  # the last is a decode step
+def test_ffn_is_bitwise_its_unfused_composition(shape):
+    rng = np.random.default_rng(sum(shape) + 2)
+    x = Parameter(rng.normal(size=shape), "x")
+    weights = _ffn_weights(rng, shape[-1], 2 * shape[-1])
+    folded = lambda: nm.ffn(x, *weights)  # noqa: E731
+    # x reaches the loss through the norm's residual and through w1, so its gradient's sum order shows.
+    _assert_same_bits(folded, lambda: oracles.ffn_oracle(x, *weights), [x, *weights], rng)
+    # An input that needs no gradient leaves the weights' gradients unchanged.
+    inputs = Tensor(x.data)
+    _assert_same_bits(lambda: nm.ffn(inputs, *weights), lambda: oracles.ffn_oracle(inputs, *weights), weights, rng)
+    if x.data.size <= 30:
+        probe = _probe(rng, shape)
+        assert nm.grad_check(lambda: probe(folded()), [x, *weights], n_samples=120) < 1e-3
+
+
+def test_ffn_names_itself_for_a_non_finite_pre_activation_that_the_relu_would_hide():
+    rng = np.random.default_rng(27)
+    weights = _ffn_weights(rng, 6, 12)
+    weights[0].data[:, :4] = -1e308  # every x below is positive, so these hidden units overflow to -inf
+    x = Tensor(np.abs(rng.normal(size=(3, 5, 6))) + 1.0)
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="in the output of ffn"):
+        nm.ffn(x, *weights)
+
+
+def test_ffn_shape_error_names_every_shape():
+    weights = _ffn_weights(np.random.default_rng(28), 6, 12)
+    weights[2] = Parameter(np.ones((12, 4)), "w2")
+    with pytest.raises(ValueError, match=r"ffn shape mismatch: .* are \[\(4, 6\), \(6, 12\), \(12,\), \(12, 4\), "):
+        nm.ffn(Tensor(np.ones((4, 6))), *weights)
+
+
 def _cached_steps(x, weights, spans, targets, step):
     """Output and gradient bytes of each span of positions fed through ``step(x_span)``, a cached call."""
     out = []
@@ -616,6 +655,15 @@ def test_grad_check_relu_away_from_kink():
     p = Parameter(values, "p")
     err = nm.grad_check(lambda: nm.tensor_sum(nm.relu(p)), [p])
     assert err < 1e-6
+
+
+def test_relu_is_bitwise_the_where_form_signed_zeros_included():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    values = np.array([-0.0, 0.0, -1.5, 2.5, -tiny, tiny, -np.finfo(np.float64).max, -0.0])
+    for a in (values, np.random.default_rng(29).normal(size=(16, 14, 128)) * (np.arange(128) % 3 != 0)):
+        got, want = nm.relu(Tensor(a)).data, np.where(a > 0, a, 0.0)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want)) and not np.signbit(got).any()
 
 
 def test_grad_check_samples_at_most_requested():

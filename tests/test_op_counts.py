@@ -2,9 +2,14 @@
 
 Decoding a desk-sized batch costs per-op overhead more than arithmetic, so
 these counts are pinned: a layer is attention (its q/k/v products and its
-biased output projection included), a residual layer norm, the FFN's two
-biased products around a ReLU, and a second residual layer norm, with or
+biased output projection included), a residual layer norm, and ffn (the two
+biased products around a ReLU, and the second residual layer norm), with or
 without a decoding cache.
+
+The first layer norm and the emotion MLP's ReLU stay separate ops because
+``perfbench/harness.MUST_FIRE`` requires ``numerics.layer_norm`` and
+``numerics.relu`` to fire in a traced desk round; folding them in waits for a
+benchmark revision that derives the traced op list from ``numerics``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from emoexplain import numerics as nm
 from emoexplain.model import ModelConfig, ModelParams
 from emoexplain.numerics import Tensor
 
-LAYER_OPS = Counter(matmul=2, attention=1, layer_norm=2, relu=1)
+LAYER_OPS = Counter(attention=1, layer_norm=1, ffn=1)
 
 
 @pytest.fixture()
@@ -29,14 +34,14 @@ def params():
 
 
 @pytest.mark.parametrize("shape", [(5, 8), (3, 5, 8)])
-def test_a_layer_runs_six_ops_without_a_cache(params, op_calls, shape):
+def test_a_layer_runs_three_ops_without_a_cache(params, op_calls, shape):
     x = Tensor(np.random.default_rng(0).normal(size=shape))
     model._encoder_stack(x, params.context_encoder, n_heads=2)
     assert op_calls == LAYER_OPS
-    assert sum(op_calls.values()) == 6
+    assert sum(op_calls.values()) == 3
 
 
-def test_a_layer_runs_six_ops_with_a_cache(params, op_calls):
+def test_a_layer_runs_three_ops_with_a_cache(params, op_calls):
     rng = np.random.default_rng(1)
     cache = [nm.KVCache(8)]
     model._encoder_stack(Tensor(rng.normal(size=(3, 5, 8))), params.context_encoder, 2, cache)

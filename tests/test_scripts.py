@@ -9,9 +9,11 @@ import sys
 import pytest
 
 from emoexplain import numerics as nm
+from emoexplain.corpus import encode_example
 from emoexplain.fixtures import write_fixture_lexicon
+from emoexplain.model import ModelConfig, ModelParams, emotion_input_matrix, make_batch, total_loss
 
-from .conftest import FIXTURE_LEXICON_PATH, REPO_ROOT
+from .conftest import FIXTURE_LEXICON_PATH, REPO_ROOT, SMALL_RECORDS
 
 SCRIPTS = sorted(path.stem for path in (REPO_ROOT / "scripts").glob("*.py"))
 
@@ -33,6 +35,24 @@ def test_debias_sweep_runs_one_setting_under_both_orders():
         assert order["wins"] + order["ties"] + order["losses"] == 1
     assert setting["max_order_gap"] >= 0.0
     assert sweep.select([setting, {**setting, "mask_emotion_tag": True, "worse_order_wins": 1}]) is setting
+
+
+def test_every_layer_weight_gradient_reaches_the_per_slice_patch_as_stacks(monkeypatch, tiny_vocab, lex):
+    """debias_sweep's per-slice order replaces ``nm._accumulate_product``; an op that handed it 2-d row views
+    would leave that weight summed flat under both orders, so each one must arrive as (B, L, .) stacks."""
+    config = ModelConfig(n_tokens=tiny_vocab.n_tokens, n_users=2, n_items=2, max_len=12, embed_dim=8, ffn_dim=16)
+    params = ModelParams(config, seed=0)
+    examples = [encode_example(rec, tiny_vocab, config.max_len) for rec in SMALL_RECORDS[:4]]
+    batch, vnrc = make_batch([(ex, emotion_input_matrix(ex, tiny_vocab, lex)) for ex in examples])
+    assert batch.context_ids.shape[0] == 4
+    calls, flat = [], nm._accumulate_product
+    monkeypatch.setattr(nm, "_accumulate_product", lambda w, a, g: (calls.append((w.name, a.ndim)), flat(w, a, g)))
+    nm.backward(total_loss(batch, params, config, vnrc)[0])
+    suffixes = (".attn.wq", ".attn.wk", ".attn.wv", ".attn.wo", ".ffn.w1", ".ffn.w2")
+    layer_weights = [p.name for p in params.all() if p.name.endswith(suffixes)]
+    assert len(layer_weights) == 6 * (2 * config.encoder_layers + config.decoder_layers)
+    assert sorted(name for name, _ in calls if name in layer_weights) == sorted(layer_weights)
+    assert all(ndim == 3 for name, ndim in calls if name in layer_weights)
 
 
 def _result_line(stage3: float, setup: float = 0.5, correct: bool = True, failed: int = 0) -> str:
