@@ -3,20 +3,21 @@
 
 For every setting (learning rate x ``mask_emotion_tag`` x epochs) and every
 seed, a desk model is trained on acceptance-7's synthetic corpus with the
-emotion loss (c2 = 1) and without it (c2 = 0); each decodes the test split
-with ``batch_generate``, and the audit compares the generated emotion
-distribution with the ground truth's.  Every run is repeated under two
-summation orders of each weight gradient that ``numerics.matmul``,
-``numerics.attention`` and ``numerics.ffn`` take over a stack, all of them
-made by ``numerics._accumulate_product`` from the (B, L, .) stacks: the
-library's one flattened GEMM ("flat") and the sum of one GEMM per slice
-("per_slice"), which this script patches in.  The gap between the two orders
-is how much of a result is rounding.
+emotion loss (c2 = 1) and without it (c2 = 0), each one ``trainer.run_cells``
+cell: it decodes the test split with ``batch_generate``, and the audit compares
+the generated emotion distribution with the ground truth's.  Every run is
+repeated under two summation orders of each weight gradient that
+``numerics.matmul``, ``numerics.attention`` and ``numerics.ffn`` take over a
+stack, all of them made by ``numerics._accumulate_product`` from the (B, L, .)
+stacks: the library's one flattened GEMM ("flat") and the sum of one GEMM per
+slice ("per_slice"), which this script patches in before ``run_cells`` forks
+its workers.  The gap between the two orders is how much of a result is
+rounding.
 
 The setting acceptance-7 asserts on is chosen by SELECTION_RULE, fixed before
 any run and written into the output.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/debias_sweep.py --workers 2
+    PYTHONPATH=src python scripts/debias_sweep.py   # one cell per CPU at a time: about 10 minutes on 2 CPUs
 """
 
 from __future__ import annotations
@@ -24,16 +25,14 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from emoexplain import numerics as nm
 from emoexplain.corpus import build_vocabulary, generate_synthetic_corpus, split_dataset
 from emoexplain.fixtures import fixture_lexicon, pool_corpus_spec
-from emoexplain.generator import GenerationQuery, batch_generate, record_queries
-from emoexplain.metrics import emotion_audit
+from emoexplain.generator import GenerationQuery
 from emoexplain.model import config_for_vocab
-from emoexplain.trainer import TrainConfig, train
+from emoexplain.trainer import Cell, TrainConfig, run_cells
 
 REPO = Path(__file__).resolve().parents[1]
 SKEW = (0.6, 0.05, 0.1, 0.1, 0.05, 0.1)
@@ -61,22 +60,18 @@ def per_slice_product(w, a, g):
         nm._accumulate(w, a_slice.T @ g_slice)
 
 
-def audit_l1(job: tuple) -> float:
-    """Audit L1 of one trained model; ``job`` is (order, lr, mask, epochs, seed, c2, embed_dim, ffn_dim)."""
-    order, lr, mask, epochs, seed, c2, embed_dim, ffn_dim = job
+def setting_cells(lr: float, mask: bool, epochs: int, seeds, embed_dim: int, ffn_dim: int) -> list[Cell]:
+    """One setting's cells: every seed with the emotion loss (c2 = 1), then every seed without it (c2 = 0)."""
     lex = fixture_lexicon()
-    records = generate_synthetic_corpus(pool_corpus_spec(*CORPUS, SKEW), seed=seed)
-    split = split_dataset(records, seed=seed)
-    vocab = build_vocabulary(list(split.train))
-    config = config_for_vocab(vocab, embed_dim=embed_dim, ffn_dim=ffn_dim, c2=c2, mask_emotion_tag=mask)
-    tc = TrainConfig(batch_size=16, learning_rate=lr, clip=1.0, max_epochs=epochs, patience=epochs, seed=seed)
-    nm._accumulate_product = per_slice_product if order == "per_slice" else _flat_product
-    try:
-        params, _ = train(config, tc, split, lex, vocab)
-    finally:
-        nm._accumulate_product = _flat_product
-    results = batch_generate(params, config, vocab, lex, record_queries(split.test, lex, GenerationQuery.max_tokens))
-    return emotion_audit([r.explanation for r in split.test], [" ".join(r.tokens) for r in results], lex).l1_distance
+    by_c2 = {1.0: [], 0.0: []}
+    for seed in seeds:
+        split = split_dataset(generate_synthetic_corpus(pool_corpus_spec(*CORPUS, SKEW), seed=seed), seed=seed)
+        vocab = build_vocabulary(list(split.train))
+        tc = TrainConfig(batch_size=16, learning_rate=lr, clip=1.0, max_epochs=epochs, patience=epochs, seed=seed)
+        for c2, cells in by_c2.items():
+            config = config_for_vocab(vocab, embed_dim=embed_dim, ffn_dim=ffn_dim, c2=c2, mask_emotion_tag=mask)
+            cells.append(Cell(config, tc, split, vocab, lex, GenerationQuery.max_tokens))
+    return by_c2[1.0] + by_c2[0.0]
 
 
 def _summary(on: list[float], off: list[float]) -> dict:
@@ -89,13 +84,17 @@ def _summary(on: list[float], off: list[float]) -> dict:
     }
 
 
-def run_setting(lr: float, mask: bool, epochs: int, seeds=SEEDS, embed_dim: int = 64, ffn_dim: int = 128,
-                mapper=map) -> dict:
-    """Both orders' paired results for one setting; ``mapper`` runs the jobs (``map`` or a pool's)."""
-    jobs = [(order, lr, mask, epochs, seed, c2, embed_dim, ffn_dim)
-            for order in ORDERS for c2 in (1.0, 0.0) for seed in seeds]
-    values = iter(list(mapper(audit_l1, jobs)))
-    l1 = {(order, c2): [next(values) for _ in seeds] for order in ORDERS for c2 in (1.0, 0.0)}
+def run_setting(lr: float, mask: bool, epochs: int, seeds=SEEDS, embed_dim: int = 64, ffn_dim: int = 128) -> dict:
+    """Both orders' paired results for one setting."""
+    cells = setting_cells(lr, mask, epochs, seeds, embed_dim, ffn_dim)
+    l1 = {}
+    for order in ORDERS:
+        nm._accumulate_product = per_slice_product if order == "per_slice" else _flat_product
+        try:
+            values = [report.audit.l1_distance for report in run_cells(cells)]
+        finally:
+            nm._accumulate_product = _flat_product
+        l1[order, 1.0], l1[order, 0.0] = values[:len(seeds)], values[len(seeds):]
     orders = {order: _summary(l1[order, 1.0], l1[order, 0.0]) for order in ORDERS}
     gap = max(abs(x - y) for c2 in (1.0, 0.0) for x, y in zip(l1["flat", c2], l1["per_slice", c2]))
     worse_wins = min(o["wins"] for o in orders.values())
@@ -117,18 +116,16 @@ def select(settings: list[dict]) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", default=str(REPO / "results" / "debias_sweep.json"), help="JSON output path")
-    parser.add_argument("--workers", type=int, default=1, help="training processes to run at once")
     args = parser.parse_args()
 
-    with ProcessPoolExecutor(args.workers) as pool:
-        settings = []
-        for lr, mask, epochs in itertools.product(LEARNING_RATES, MASKS, EPOCHS):
-            settings.append(run_setting(lr, mask, epochs, mapper=pool.map))
-            s = settings[-1]
-            print(f"lr {lr} mask {mask} epochs {epochs}: "
-                  + ", ".join(f"{o} {v['wins']}/{v['ties']}/{v['losses']} {v['mean_on']:.3f} vs {v['mean_off']:.3f}"
-                              for o, v in s["orders"].items())
-                  + f", order gap {s['max_order_gap']:.3f}", flush=True)
+    settings = []
+    for lr, mask, epochs in itertools.product(LEARNING_RATES, MASKS, EPOCHS):
+        settings.append(run_setting(lr, mask, epochs))
+        s = settings[-1]
+        print(f"lr {lr} mask {mask} epochs {epochs}: "
+              + ", ".join(f"{o} {v['wins']}/{v['ties']}/{v['losses']} {v['mean_on']:.3f} vs {v['mean_off']:.3f}"
+                          for o, v in s["orders"].items())
+              + f", order gap {s['max_order_gap']:.3f}", flush=True)
     chosen = select(settings)
     out = {
         "selection_rule": SELECTION_RULE,

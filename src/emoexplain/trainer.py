@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import numerics as nm
 from .corpus import DatasetSplit, Vocabulary, assign_emotion_tags, encode_example
+from .generator import batch_generate, record_queries
 from .lexicon import Lexicon
+from .metrics import EvaluationPair, EvaluationReport, build_report, report_to_dict
 from .model import (
     ModelConfig,
     ModelParams,
@@ -159,6 +162,53 @@ def train(
     return params, TrainHistory(initial_train=initial, epochs=history, best_epoch=best_epoch)
 
 
+@dataclass(frozen=True)
+class Cell:
+    """One experiment: a model trained on ``split``, then decoding ``split.test`` at ``max_tokens`` per query."""
+    model_config: ModelConfig
+    train_config: TrainConfig
+    split: DatasetSplit
+    vocab: Vocabulary
+    lex: Lexicon
+    max_tokens: int
+
+
+def run_cell(cell: Cell) -> EvaluationReport:
+    """Train ``cell``'s model, decode its test split and report on it, audit included; a failed query raises."""
+    params, _ = train(cell.model_config, cell.train_config, cell.split, cell.lex, cell.vocab)
+    queries = record_queries(cell.split.test, cell.lex, cell.max_tokens)
+    pairs = []
+    for rec, result in zip(cell.split.test, batch_generate(params, cell.model_config, cell.vocab, cell.lex, queries)):
+        if result.error is not None:
+            raise ValueError(result.error)
+        pairs.append(EvaluationPair.from_texts(rec.explanation, " ".join(result.tokens), rec.features))
+    return build_report(pairs, cell.lex)
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one OpenBLAS thread in this worker (numpy exposes no setter), as workers that each kept
+    one per CPU contend for the CPUs: two d=64 cells on 2 CPUs took longer together than one after the other."""
+    import ctypes
+
+    setters = ("openblas_set_num_threads", "openblas_set_num_threads64_", "scipy_openblas_set_num_threads64_")
+    with open("/proc/self/maps") as maps:
+        libs = [ctypes.CDLL(path) for path in {line.split()[-1] for line in maps if "openblas" in line}]
+    for setter in (getattr(lib, name) for lib in libs for name in setters if hasattr(lib, name)):
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
+def run_cells(cells: list[Cell]) -> list[EvaluationReport]:
+    """``run_cell`` over ``cells`` in forked processes, at most one per CPU, each starting from the parent's modules
+    as they are, a patched function included. Reports come in input order; the first failed cell's error raises."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(cells), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _one_blas_thread) as pool:
+        return list(pool.map(run_cell, cells))
+
+
 ABLATION_LOSS_SETTINGS = ("full", "disable_emotion", "disable_lm")
 ABLATION_INTENSITIES = (0.5, 1.0, 2.0)
 
@@ -167,31 +217,20 @@ def ablation_grid(
     model_config: ModelConfig, train_config: TrainConfig, splits: DatasetSplit,
     lex: Lexicon, vocab: Vocabulary, max_tokens: int,
 ) -> list[dict]:
-    """Train and evaluate the 3x3 grid of loss settings x intensity values.
+    """Train and evaluate the 3x3 grid of loss settings x intensity values, one ``run_cells`` cell each.
 
     Every cell reuses the same seeds, so the (full, intensity=1) cell matches a
     standalone run bit for bit.  Each row carries the full metrics report plus
     the emotion-audit L1 distance.
     """
-    from .generator import batch_generate, record_queries
-    from .metrics import EvaluationPair, build_report, report_to_dict
-
-    queries = record_queries(splits.test, lex, max_tokens)
-    rows = []
+    rows, cells = [], []
     for setting in ABLATION_LOSS_SETTINGS:
         c1 = 0.0 if setting == "disable_lm" else model_config.c1
         c2 = 0.0 if setting == "disable_emotion" else model_config.c2
         for intensity in ABLATION_INTENSITIES:
-            cell_config = replace(model_config, c1=c1, c2=c2, intensity=intensity)
-            params, _ = train(cell_config, train_config, splits, lex, vocab)
-            results = batch_generate(params, cell_config, vocab, lex, queries)
-            pairs = []
-            for rec, result in zip(splits.test, results):
-                if result.error is not None:
-                    raise ValueError(result.error)
-                pairs.append(EvaluationPair.from_texts(rec.explanation, " ".join(result.tokens), rec.features))
-            report = build_report(pairs, lex)
-            row = {"loss_setting": setting, "intensity": intensity, "c1": c1, "c2": c2}
-            row.update(report_to_dict(report))
-            rows.append(row)
+            rows.append({"loss_setting": setting, "intensity": intensity, "c1": c1, "c2": c2})
+            cells.append(Cell(replace(model_config, c1=c1, c2=c2, intensity=intensity), train_config, splits,
+                              vocab, lex, max_tokens))
+    for row, report in zip(rows, run_cells(cells)):
+        row.update(report_to_dict(report))
     return rows

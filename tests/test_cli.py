@@ -531,6 +531,32 @@ def test_ablate_checks_the_test_split_before_training(tmp_path, prepared_dir, mo
     assert calls == []
 
 
+def test_ablate_numeric_failure_in_a_cell_exits_3_naming_epoch_batch_and_op(tmp_path, prepared_dir, capsys):
+    import re
+
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["ablate", "--data", str(prepared_dir), "--lexicon", str(FIXTURE_LEXICON_PATH),
+                     "--out", str(tmp_path / "out"), *SMALL_MODEL, "--learning-rate", "1e200"])
+    assert code == 3
+    err = capsys.readouterr().err
+    found = re.search(r"at epoch \d+, batch \d+: non-finite values in the output of (\w+)", err)
+    assert found, err
+    assert callable(getattr(nm, found.group(1), None)), found.group(1)
+    assert not (tmp_path / "out").exists()
+
+
+def test_ablate_failed_generation_in_a_cell_exits_2_with_its_message(tmp_path, prepared_dir, capsys):
+    data = shutil.copytree(prepared_dir, tmp_path / "data")
+    records = load_records(data / "test.jsonl")
+    save_records(data / "test.jsonl", [*records[:-1], replace(records[-1], user="nobody")])
+    assert main(["ablate", "--data", str(data), "--lexicon", str(FIXTURE_LEXICON_PATH),
+                 "--out", str(tmp_path / "out"), *SMALL_MODEL]) == 2
+    assert capsys.readouterr().err == "error: unknown user 'nobody'\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_vocab_without_tokens_exits_2_naming_path(tmp_path, prepared_dir, trained_dir, capsys):
     checkpoint = _checkpoint_copy(trained_dir, tmp_path / "ckpt")
     vocab_path = tmp_path / "ckpt" / "vocab.json"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import sys
 
 import pytest
@@ -12,6 +13,7 @@ from emoexplain import numerics as nm
 from emoexplain.corpus import encode_example
 from emoexplain.fixtures import write_fixture_lexicon
 from emoexplain.model import ModelConfig, ModelParams, emotion_input_matrix, make_batch, total_loss
+from emoexplain.trainer import run_cell
 
 from .conftest import FIXTURE_LEXICON_PATH, REPO_ROOT, SMALL_RECORDS
 
@@ -25,10 +27,24 @@ def _load_script(name: str):
     return module
 
 
-def test_debias_sweep_runs_one_setting_under_both_orders():
+def test_debias_sweep_runs_one_setting_under_both_orders(tmp_path, monkeypatch):
     sweep = _load_script("debias_sweep")
+    per_slice, callers = sweep.per_slice_product, tmp_path / "per_slice_pids"
+
+    def noting_its_process(w, a, g):
+        with open(callers, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        per_slice(w, a, g)
+
+    monkeypatch.setattr(sweep, "per_slice_product", noting_its_process)
     setting = sweep.run_setting(0.3, False, 1, seeds=(0,), embed_dim=8, ffn_dim=16)
     assert nm._accumulate_product is sweep._flat_product  # the per-slice patch does not outlive a run
+    pids = set(callers.read_text().split())
+    assert pids and str(os.getpid()) not in pids  # the patch set in this process ran in the forked workers
+    for order, product in (("flat", sweep._flat_product), ("per_slice", per_slice)):
+        monkeypatch.setattr(nm, "_accumulate_product", product)
+        on, off = (run_cell(cell).audit.l1_distance for cell in sweep.setting_cells(0.3, False, 1, (0,), 8, 16))
+        assert (setting["orders"][order]["l1_on"], setting["orders"][order]["l1_off"]) == ([on], [off]), order
     assert set(setting["orders"]) == set(sweep.ORDERS)
     for order in setting["orders"].values():
         assert len(order["l1_on"]) == len(order["l1_off"]) == 1

@@ -13,10 +13,13 @@ from emoexplain.model import config_for_vocab
 from emoexplain.trainer import (
     ABLATION_INTENSITIES,
     ABLATION_LOSS_SETTINGS,
+    Cell,
     TrainConfig,
     _mean_losses,
     _prepare,
     ablation_grid,
+    run_cell,
+    run_cells,
     train,
 )
 
@@ -306,6 +309,19 @@ def test_ablation_disable_settings_zero_the_right_weight(small_split, small_voca
     assert by_setting[("disable_emotion", 1.0)]["c1"] == 0.7
     assert by_setting[("disable_lm", 1.0)]["c1"] == 0.0
     assert by_setting[("disable_lm", 1.0)]["c2"] == 0.3
+
+
+def test_pool_reports_equal_in_process_reports(lex):
+    spec = pool_corpus_spec(12, 10, 120, BALANCED, min_words=3, max_words=5)
+    split = split_dataset(generate_synthetic_corpus(spec, seed=13), seed=13)
+    vocab = build_vocabulary(list(split.train))
+    tc = TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=31)
+    # Without the LM loss one epoch leaves each cell's text its own, where with it all three decode alike.
+    cells = [Cell(_config(vocab, embed_dim=8, ffn_dim=16, c1=0.0, c2=c2, intensity=intensity), tc, split, vocab,
+                  lex, 6) for c2, intensity in ((1.0, 0.5), (0.0, 1.0), (1.0, 2.0))]
+    reports = run_cells(cells)
+    assert reports == [run_cell(cell) for cell in cells]
+    assert len({report.audit.l1_distance for report in reports}) == len(cells)  # so input order shows
 
 
 def test_train_with_more_items_than_tokens(lex):
